@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "exp/spec.hh"
 #include "exp/sweep_runner.hh"
 #include "node/platform.hh"
 #include "sim/log.hh"
@@ -10,6 +11,10 @@
 
 namespace kelp {
 namespace exp {
+
+/** The grid's runtime configurations, in MixResult array order. */
+constexpr ConfigKind kGridKinds[] = {ConfigKind::BL, ConfigKind::CT,
+                                     ConfigKind::KPSD, ConfigKind::KP};
 
 int
 configIndex(ConfigKind kind)
@@ -67,13 +72,11 @@ evaluationMixes()
 MixResult
 runMix(const Mix &mix, const GridOptions &opt)
 {
-    const ConfigKind kinds[] = {ConfigKind::BL, ConfigKind::CT,
-                                ConfigKind::KPSD, ConfigKind::KP};
     MixResult out;
     out.mix = mix;
 
     RunResult ref = standaloneReference(mix.ml);
-    for (ConfigKind kind : kinds) {
+    for (ConfigKind kind : kGridKinds) {
         RunConfig cfg;
         cfg.ml = mix.ml;
         cfg.cpu = mix.cpu;
@@ -119,8 +122,8 @@ writeGridManifest(const std::vector<MixResult> &results,
     man.set("warmup_s", opt.warmup);
     man.set("measure_s", opt.measure);
     man.set("contract_violations", sim::contractViolations());
-    const char *names[4] = {"bl", "ct", "kpsd", "kp"};
-    for (int c = 0; c < 4; ++c) {
+    for (ConfigKind kind : kGridKinds) {
+        const int c = configIndex(kind);
         double ml_log = 0.0;
         double cpu_log = 0.0;
         for (const MixResult &r : results) {
@@ -129,9 +132,9 @@ writeGridManifest(const std::vector<MixResult> &results,
         }
         double n = results.empty() ?
             1.0 : static_cast<double>(results.size());
-        man.set(std::string("ml_slowdown_geomean_") + names[c],
+        man.set(std::string("ml_slowdown_geomean_") + configKey(kind),
                 std::exp(ml_log / n));
-        man.set(std::string("cpu_slowdown_geomean_") + names[c],
+        man.set(std::string("cpu_slowdown_geomean_") + configKey(kind),
                 std::exp(cpu_log / n));
     }
     if (!man.writeJson(opt.manifestPath)) {

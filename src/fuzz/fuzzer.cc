@@ -94,7 +94,7 @@ fuzz(const FuzzOptions &opts)
     rep.seed = opts.seed;
     rep.trials = static_cast<uint64_t>(std::max(0, opts.trials));
 
-    std::vector<ScenarioSpec> pool = seedSpecs();
+    std::vector<exp::ScenarioSpec> pool = seedSpecs();
     pool.insert(pool.end(), opts.extraSeeds.begin(),
                 opts.extraSeeds.end());
 
@@ -113,8 +113,8 @@ fuzz(const FuzzOptions &opts)
          * only, so workers can race freely and the jobs count cannot
          * influence what gets generated.
          */
-        const std::vector<ScenarioSpec> snapshot = pool;
-        std::vector<ScenarioSpec> specs(
+        const std::vector<exp::ScenarioSpec> snapshot = pool;
+        std::vector<exp::ScenarioSpec> specs(
             static_cast<size_t>(count));
         std::vector<TrialOutcome> outcomes(
             static_cast<size_t>(count));
@@ -131,7 +131,7 @@ fuzz(const FuzzOptions &opts)
             [&](int i) {
                 // Serial merge, strict trial order (pool thread
                 // commits are sequenced by index).
-                const ScenarioSpec &spec =
+                const exp::ScenarioSpec &spec =
                     specs[static_cast<size_t>(i)];
                 const TrialOutcome &out =
                     outcomes[static_cast<size_t>(i)];
@@ -242,8 +242,8 @@ parseCorpusEntry(const std::string &text, std::string *error)
         return fail("unknown oracle '" + entry.oracle + "'");
 
     std::string specError;
-    std::optional<ScenarioSpec> spec =
-        ScenarioSpec::tryParse(text, &specError);
+    std::optional<exp::ScenarioSpec> spec =
+        exp::ScenarioSpec::tryParse(text, &specError);
     if (!spec)
         return fail(specError);
     entry.spec = *spec;

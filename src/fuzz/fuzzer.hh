@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "fuzz/oracle.hh"
-#include "fuzz/spec.hh"
+#include "exp/spec.hh"
 
 namespace kelp {
 namespace fuzz {
@@ -69,7 +69,7 @@ struct FuzzOptions
 
     /** Extra pool seeds (e.g. the archived corpus) mutated alongside
      * the built-in archetypes. */
-    std::vector<ScenarioSpec> extraSeeds;
+    std::vector<exp::ScenarioSpec> extraSeeds;
 };
 
 /** One distinct failure the campaign found. */
@@ -85,10 +85,10 @@ struct Finding
     std::string detail;
 
     /** The spec as generated. */
-    ScenarioSpec spec;
+    exp::ScenarioSpec spec;
 
     /** The minimized spec (== spec when shrinking is off). */
-    ScenarioSpec shrunk;
+    exp::ScenarioSpec shrunk;
 
     /** Accepted shrink steps. */
     int shrinkSteps = 0;
@@ -145,7 +145,7 @@ struct CorpusEntry
      */
     bool fixed = false;
 
-    ScenarioSpec spec;
+    exp::ScenarioSpec spec;
 };
 
 /** Canonical file text of an entry (directives + spec). */

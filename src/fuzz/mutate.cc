@@ -56,7 +56,7 @@ clampKills(exp::RunConfig &cfg)
 
 /** The individual mutation operators, selected uniformly. */
 void
-mutateOnce(ScenarioSpec &spec, sim::Rng &rng)
+mutateOnce(exp::ScenarioSpec &spec, sim::Rng &rng)
 {
     exp::RunConfig &cfg = spec.cfg;
     switch (rng.below(19)) {
@@ -240,14 +240,14 @@ mutateOnce(ScenarioSpec &spec, sim::Rng &rng)
 
 } // namespace
 
-std::vector<ScenarioSpec>
+std::vector<exp::ScenarioSpec>
 seedSpecs()
 {
-    std::vector<ScenarioSpec> seeds;
+    std::vector<exp::ScenarioSpec> seeds;
 
     // Quiet full-Kelp colocation: the paper path, shortened.
     {
-        ScenarioSpec s;
+        exp::ScenarioSpec s;
         s.cfg.ml = wl::MlWorkload::Cnn1;
         s.cfg.config = exp::ConfigKind::KP;
         s.cfg.cpu = wl::CpuWorkload::Stitch;
@@ -260,7 +260,7 @@ seedSpecs()
 
     // Churny SLO run: dynamic membership + degradation ladder.
     {
-        ScenarioSpec s;
+        exp::ScenarioSpec s;
         s.cfg.ml = wl::MlWorkload::Cnn2;
         s.cfg.config = exp::ConfigKind::KP;
         s.cfg.cpu = wl::CpuWorkload::Stitch;
@@ -278,7 +278,7 @@ seedSpecs()
 
     // Chaos run: degraded telemetry and actuation, hardened.
     {
-        ScenarioSpec s;
+        exp::ScenarioSpec s;
         s.cfg.ml = wl::MlWorkload::Rnn1;
         s.cfg.config = exp::ConfigKind::KPSD;
         s.cfg.cpu = wl::CpuWorkload::DramAggressor;
@@ -294,7 +294,7 @@ seedSpecs()
     // Overloaded request serving: open-loop burst traffic against a
     // colocated antagonist, exercising the admission/brownout ladder.
     {
-        ScenarioSpec s;
+        exp::ScenarioSpec s;
         s.cfg.ml = wl::MlWorkload::Rnn1;
         s.cfg.config = exp::ConfigKind::KP;
         s.cfg.cpu = wl::CpuWorkload::Stitch;
@@ -312,7 +312,7 @@ seedSpecs()
 
     // Crashy run: churn plus repeated controller kills.
     {
-        ScenarioSpec s;
+        exp::ScenarioSpec s;
         s.cfg.ml = wl::MlWorkload::Cnn1;
         s.cfg.config = exp::ConfigKind::KP;
         s.cfg.cpu = wl::CpuWorkload::Stitch;
@@ -329,31 +329,31 @@ seedSpecs()
     return seeds;
 }
 
-ScenarioSpec
+exp::ScenarioSpec
 freshSpec(sim::Rng &rng)
 {
-    std::vector<ScenarioSpec> seeds = seedSpecs();
-    ScenarioSpec spec = seeds[rng.below(seeds.size())];
+    std::vector<exp::ScenarioSpec> seeds = seedSpecs();
+    exp::ScenarioSpec spec = seeds[rng.below(seeds.size())];
     mutateSpec(spec, rng, 1 + static_cast<int>(rng.below(3)));
     return spec;
 }
 
 void
-mutateSpec(ScenarioSpec &spec, sim::Rng &rng, int steps)
+mutateSpec(exp::ScenarioSpec &spec, sim::Rng &rng, int steps)
 {
     for (int i = 0; i < steps; ++i)
         mutateOnce(spec, rng);
     clampKills(spec.cfg);
 }
 
-ScenarioSpec
+exp::ScenarioSpec
 generateSpec(uint64_t base, uint64_t index,
-             const std::vector<ScenarioSpec> &pool)
+             const std::vector<exp::ScenarioSpec> &pool)
 {
     sim::Rng rng = sim::Rng::derive(base, index);
     if (pool.empty() || rng.chance(0.2))
         return freshSpec(rng);
-    ScenarioSpec spec = pool[rng.below(pool.size())];
+    exp::ScenarioSpec spec = pool[rng.below(pool.size())];
     // 1 + Geometric(1/2) mutation steps: usually small edits, with a
     // long tail of composite jumps.
     int steps = 1;

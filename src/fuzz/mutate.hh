@@ -1,6 +1,6 @@
 /**
  * @file
- * Seeded generator/mutator over the ScenarioSpec space.
+ * Seeded generator/mutator over the exp::ScenarioSpec space.
  *
  * All randomness flows through a caller-provided sim::Rng, so spec
  * generation is a pure function of the rng stream: the fuzzer derives
@@ -19,7 +19,7 @@
 
 #include <vector>
 
-#include "fuzz/spec.hh"
+#include "exp/spec.hh"
 #include "sim/rng.hh"
 
 namespace kelp {
@@ -30,13 +30,13 @@ namespace fuzz {
  * scenarios (quiet KP run, churny SLO run, chaos run, crashy run)
  * that give the first mutations something structured to work from.
  */
-std::vector<ScenarioSpec> seedSpecs();
+std::vector<exp::ScenarioSpec> seedSpecs();
 
 /** A fresh random scenario inside the fuzzable envelope. */
-ScenarioSpec freshSpec(sim::Rng &rng);
+exp::ScenarioSpec freshSpec(sim::Rng &rng);
 
 /** Apply @p steps random single-field mutations in place. */
-void mutateSpec(ScenarioSpec &spec, sim::Rng &rng, int steps);
+void mutateSpec(exp::ScenarioSpec &spec, sim::Rng &rng, int steps);
 
 /**
  * Generate the spec for trial @p index of a fuzz run seeded with
@@ -44,8 +44,8 @@ void mutateSpec(ScenarioSpec &spec, sim::Rng &rng, int steps);
  * parent drawn from @p pool or (sometimes, and always when the pool
  * is empty) build a fresh spec. Pure in (base, index, pool).
  */
-ScenarioSpec generateSpec(uint64_t base, uint64_t index,
-                          const std::vector<ScenarioSpec> &pool);
+exp::ScenarioSpec generateSpec(uint64_t base, uint64_t index,
+                          const std::vector<exp::ScenarioSpec> &pool);
 
 } // namespace fuzz
 } // namespace kelp

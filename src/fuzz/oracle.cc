@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "sim/log.hh"
+#include "sim/number.hh"
 #include "trace/decision_log.hh"
 
 namespace kelp {
@@ -55,7 +56,7 @@ execute(const exp::RunConfig &cfg)
 void
 field(std::ostringstream &os, const char *key, double v)
 {
-    os << key << "=" << formatDouble(v) << "\n";
+    os << key << "=" << sim::formatDouble(v) << "\n";
 }
 
 void
@@ -105,7 +106,7 @@ firstBadMetric(const exp::RunResult &r)
     };
     for (const auto &c : checks) {
         if (badDouble(c.value))
-            return std::string(c.name) + "=" + formatDouble(c.value);
+            return std::string(c.name) + "=" + sim::formatDouble(c.value);
     }
     if (r.sloFinalRung < 0)
         return "sloFinalRung=" + std::to_string(r.sloFinalRung);
@@ -147,9 +148,9 @@ stuckWatchdog(const RunCapture &cap, const exp::RunConfig &cfg)
     if (lastTrip + runway > end)
         return "";
     std::ostringstream os;
-    os << "tripped at " << formatDouble(lastTrip)
+    os << "tripped at " << sim::formatDouble(lastTrip)
        << "s, never re-armed by end of run ("
-       << formatDouble(end) << "s)";
+       << sim::formatDouble(end) << "s)";
     return os.str();
 }
 
@@ -236,7 +237,7 @@ coverageKeys(const trace::DecisionLog &log)
 }
 
 TrialOutcome
-runTrial(const ScenarioSpec &spec, const OracleConfig &ocfg)
+runTrial(const exp::ScenarioSpec &spec, const OracleConfig &ocfg)
 {
     const exp::RunConfig &cfg = spec.cfg;
     RunCapture primary = execute(cfg);
@@ -264,9 +265,9 @@ runTrial(const ScenarioSpec &spec, const OracleConfig &ocfg)
         if (rate > ocfg.thrashRate) {
             out.hits.push_back(
                 {"ladder-thrash",
-                 "rung transition rate " + formatDouble(rate) +
+                 "rung transition rate " + sim::formatDouble(rate) +
                      "/sample exceeds " +
-                     formatDouble(ocfg.thrashRate)});
+                     sim::formatDouble(ocfg.thrashRate)});
         }
     }
 
@@ -337,7 +338,7 @@ runTrial(const ScenarioSpec &spec, const OracleConfig &ocfg)
 }
 
 bool
-oracleFires(const ScenarioSpec &spec, const std::string &oracle,
+oracleFires(const exp::ScenarioSpec &spec, const std::string &oracle,
             const OracleConfig &ocfg)
 {
     const std::vector<std::string> &names = oracleNames();

@@ -3,7 +3,7 @@
  * Trial execution and the oracle set: what it means for one fuzzed
  * scenario to "fail".
  *
- * A trial executes a ScenarioSpec (deterministically: everything is
+ * A trial executes a exp::ScenarioSpec (deterministically: everything is
  * seeded through the spec) and checks the run against oracles that
  * encode the repository's cross-cutting robustness guarantees rather
  * than any single expected output:
@@ -48,7 +48,7 @@
 #include <string>
 #include <vector>
 
-#include "fuzz/spec.hh"
+#include "exp/spec.hh"
 
 namespace kelp {
 
@@ -126,7 +126,7 @@ double ladderThrashRate(uint64_t transitions, double horizon,
 std::vector<std::string> coverageKeys(const trace::DecisionLog &log);
 
 /** Execute @p spec and judge it against every enabled oracle. */
-TrialOutcome runTrial(const ScenarioSpec &spec,
+TrialOutcome runTrial(const exp::ScenarioSpec &spec,
                       const OracleConfig &ocfg);
 
 /**
@@ -134,7 +134,7 @@ TrialOutcome runTrial(const ScenarioSpec &spec,
  * oracle fires. Unknown names are fatal. The shrinker and the corpus
  * replayer use this as their predicate.
  */
-bool oracleFires(const ScenarioSpec &spec, const std::string &oracle,
+bool oracleFires(const exp::ScenarioSpec &spec, const std::string &oracle,
                  const OracleConfig &ocfg);
 
 } // namespace fuzz

@@ -1,6 +1,6 @@
 /**
  * @file
- * Delta-debugging shrinker: minimize a failing ScenarioSpec while its
+ * Delta-debugging shrinker: minimize a failing exp::ScenarioSpec while its
  * oracle still fires.
  *
  * The shrinker is greedy over a fixed, deterministic candidate order:
@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "fuzz/oracle.hh"
-#include "fuzz/spec.hh"
+#include "exp/spec.hh"
 
 namespace kelp {
 namespace fuzz {
@@ -36,7 +36,7 @@ namespace fuzz {
 struct ShrinkResult
 {
     /** The minimized spec (== input when nothing could shrink). */
-    ScenarioSpec spec;
+    exp::ScenarioSpec spec;
 
     /** Accepted reductions. */
     int steps = 0;
@@ -55,7 +55,7 @@ struct ShrinkResult
  * order the shrinker tries them. Candidates identical to the input
  * are filtered out.
  */
-std::vector<ScenarioSpec> shrinkCandidates(const ScenarioSpec &spec);
+std::vector<exp::ScenarioSpec> shrinkCandidates(const exp::ScenarioSpec &spec);
 
 /**
  * Shrink @p failing while @p stillFails holds, spending at most
@@ -64,12 +64,12 @@ std::vector<ScenarioSpec> shrinkCandidates(const ScenarioSpec &spec);
  * established that it fails).
  */
 ShrinkResult
-shrinkWith(const ScenarioSpec &failing,
-           const std::function<bool(const ScenarioSpec &)> &stillFails,
+shrinkWith(const exp::ScenarioSpec &failing,
+           const std::function<bool(const exp::ScenarioSpec &)> &stillFails,
            int maxAttempts);
 
 /** Shrink @p failing while the named oracle still fires. */
-ShrinkResult shrink(const ScenarioSpec &failing,
+ShrinkResult shrink(const exp::ScenarioSpec &failing,
                     const std::string &oracle,
                     const OracleConfig &ocfg, int maxAttempts);
 

@@ -1,10 +1,10 @@
 #include "hal/fault_injector.hh"
 
-#include <charconv>
-#include <cstdlib>
+#include <set>
 #include <sstream>
 
 #include "sim/log.hh"
+#include "sim/number.hh"
 
 namespace kelp {
 namespace hal {
@@ -34,6 +34,7 @@ std::optional<FaultPlan>
 FaultPlan::tryParse(const std::string &spec, std::string *error)
 {
     FaultPlan plan;
+    std::set<std::string> seen;
     size_t pos = 0;
     while (pos < spec.size()) {
         size_t comma = spec.find(',', pos);
@@ -50,14 +51,16 @@ FaultPlan::tryParse(const std::string &spec, std::string *error)
         }
         std::string key = item.substr(0, eq);
         std::string str = item.substr(eq + 1);
-        char *end = nullptr;
-        double value = std::strtod(str.c_str(), &end);
-        // strtod accepts the empty string (it parses zero characters
-        // and leaves end at the terminator), so reject it explicitly.
-        if (str.empty() || !end || *end != '\0') {
+        if (!seen.insert(key).second) {
+            return parseError(error, "fault spec repeats key '" + key +
+                                     "'");
+        }
+        std::optional<double> parsed = sim::parseDouble(str);
+        if (!parsed) {
             return parseError(error, "fault spec key '" + key +
                                      "' has bad value '" + str + "'");
         }
+        const double value = *parsed;
         bool probability = true;
         if (key == "drop")
             plan.dropProb = value;
@@ -105,14 +108,6 @@ FaultPlan::tryParse(const std::string &spec, std::string *error)
 std::string
 FaultPlan::toString() const
 {
-    // Shortest round-trip decimal: strtod() of the result gives back
-    // the exact double, and re-rendering that double gives back the
-    // exact bytes, which is what makes the spec canonical.
-    auto shortest = [](double v) {
-        char buf[32];
-        auto res = std::to_chars(buf, buf + sizeof(buf), v);
-        return std::string(buf, res.ptr);
-    };
     const FaultPlan def;
     std::ostringstream os;
     auto field = [&](const char *key, double value, double defValue) {
@@ -122,7 +117,7 @@ FaultPlan::toString() const
             return;
         if (os.tellp() > 0)
             os << ",";
-        os << key << "=" << shortest(value);
+        os << key << "=" << sim::formatDouble(value);
     };
     field("drop", dropProb, def.dropProb);
     field("stuck", stuckProb, def.stuckProb);

@@ -63,8 +63,8 @@ struct FaultPlan
      * "drop=0.1,stuck=0.05,noise=0.1,noisefrac=0.3,spike=0.02,"
      * "spikescale=8,knobfail=0.2,knobdelay=0.1".
      * An empty spec yields the all-zero (disabled) plan; unknown
-     * keys, malformed/empty values, and out-of-range values are
-     * fatal.
+     * or repeated keys, malformed/empty/non-finite values, and
+     * out-of-range values are fatal.
      */
     static FaultPlan parse(const std::string &spec);
 

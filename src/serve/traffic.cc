@@ -1,12 +1,11 @@
 #include "serve/traffic.hh"
 
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <set>
 #include <sstream>
 
 #include "sim/log.hh"
+#include "sim/number.hh"
 #include "sim/rng.hh"
 
 namespace kelp {
@@ -59,21 +58,13 @@ TrafficSpec::rateAt(sim::Time t) const
 std::string
 TrafficSpec::toString() const
 {
-    // Shortest round-trip decimal, exactly like FaultPlan::toString:
-    // strtod() of the result gives back the exact double, which is
-    // what makes the spec canonical.
-    auto shortest = [](double v) {
-        char buf[32];
-        auto res = std::to_chars(buf, buf + sizeof(buf), v);
-        return std::string(buf, res.ptr);
-    };
     const TrafficSpec def;
     std::ostringstream os;
     os << "shape=" << shapeKey(shape);
     auto field = [&](const char *key, double value, double defValue) {
         if (value == defValue) // kelp: allow(float-eq): canonical print must distinguish exact default values
             return;
-        os << "," << key << "=" << shortest(value);
+        os << "," << key << "=" << sim::formatDouble(value);
     };
     field("qps", qps, def.qps);
     field("lowfrac", lowFrac, def.lowFrac);
@@ -143,12 +134,12 @@ TrafficSpec::tryParse(const std::string &spec, std::string *error)
                               "traffic spec key 'shape' must come "
                               "first");
         }
-        char *end = nullptr;
-        double value = std::strtod(str.c_str(), &end);
-        if (str.empty() || !end || *end != '\0') {
+        std::optional<double> parsed = sim::parseDouble(str);
+        if (!parsed) {
             return parseError(error, "traffic spec key '" + key +
                                      "' has bad value '" + str + "'");
         }
+        const double value = *parsed;
         auto positive = [&](const char *what) {
             if (value > 0.0)
                 return true;
@@ -215,16 +206,6 @@ TrafficSpec::tryParse(const std::string &spec, std::string *error)
                           "'period'");
     }
     return out;
-}
-
-TrafficSpec
-TrafficSpec::parse(const std::string &spec)
-{
-    std::string error;
-    std::optional<TrafficSpec> out = tryParse(spec, &error);
-    if (!out)
-        sim::fatal(error);
-    return *out;
 }
 
 ArrivalGenerator::ArrivalGenerator(const TrafficSpec &spec,

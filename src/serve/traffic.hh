@@ -73,9 +73,6 @@ struct TrafficSpec
     static std::optional<TrafficSpec>
     tryParse(const std::string &spec, std::string *error = nullptr);
 
-    /** Parse or die (CLI convenience). */
-    static TrafficSpec parse(const std::string &spec);
-
     bool operator==(const TrafficSpec &o) const
     {
         return toString() == o.toString();

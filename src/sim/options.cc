@@ -1,10 +1,10 @@
 #include "sim/options.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "sim/log.hh"
+#include "sim/number.hh"
 
 namespace kelp {
 namespace sim {
@@ -17,41 +17,39 @@ Options::Options(std::string program, std::string summary)
 
 void
 Options::add(const std::string &name, Kind kind, const std::string &def,
-             const std::string &help)
+             const std::string &help, const std::string &metavar)
 {
     KELP_ASSERT(!options_.count(name), "duplicate option --", name);
-    options_[name] = Option{kind, def, def, help, false};
+    options_[name] = Option{kind, def, def, help, metavar, false};
     order_.push_back(name);
 }
 
 void
 Options::addString(const std::string &name, const std::string &def,
-                   const std::string &help)
+                   const std::string &help, const std::string &metavar)
 {
-    add(name, Kind::String, def, help);
+    add(name, Kind::String, def, help, metavar);
 }
 
 void
 Options::addInt(const std::string &name, long def,
                 const std::string &help)
 {
-    add(name, Kind::Int, std::to_string(def), help);
+    add(name, Kind::Int, std::to_string(def), help, "int");
 }
 
 void
 Options::addDouble(const std::string &name, double def,
                    const std::string &help)
 {
-    std::ostringstream os;
-    os << def;
-    add(name, Kind::Double, os.str(), help);
+    add(name, Kind::Double, formatDouble(def), help, "num");
 }
 
 void
 Options::addBool(const std::string &name, bool def,
                  const std::string &help)
 {
-    add(name, Kind::Bool, def ? "true" : "false", help);
+    add(name, Kind::Bool, def ? "true" : "false", help, "");
 }
 
 bool
@@ -95,17 +93,14 @@ Options::parse(int argc, const char *const *argv)
             }
         }
         // Validate typed values eagerly.
-        char *end = nullptr;
         switch (opt.kind) {
           case Kind::Int:
-            (void)std::strtol(value.c_str(), &end, 10);
-            if (!end || *end != '\0')
+            if (!parseInt<long>(value))
                 fatal("flag --", name, " expects an integer, got '",
                       value, "'");
             break;
           case Kind::Double:
-            (void)std::strtod(value.c_str(), &end);
-            if (!end || *end != '\0')
+            if (!parseDouble(value))
                 fatal("flag --", name, " expects a number, got '",
                       value, "'");
             break;
@@ -147,15 +142,13 @@ Options::getString(const std::string &name) const
 long
 Options::getInt(const std::string &name) const
 {
-    return std::strtol(lookup(name, Kind::Int).value.c_str(), nullptr,
-                       10);
+    return *parseInt<long>(lookup(name, Kind::Int).value);
 }
 
 double
 Options::getDouble(const std::string &name) const
 {
-    return std::strtod(lookup(name, Kind::Double).value.c_str(),
-                       nullptr);
+    return *parseDouble(lookup(name, Kind::Double).value);
 }
 
 bool
@@ -181,19 +174,8 @@ Options::usage() const
     for (const auto &name : order_) {
         const Option &o = options_.at(name);
         os << "  --" << name;
-        switch (o.kind) {
-          case Kind::String:
-            os << "=<string>";
-            break;
-          case Kind::Int:
-            os << "=<int>";
-            break;
-          case Kind::Double:
-            os << "=<num>";
-            break;
-          case Kind::Bool:
-            break;
-        }
+        if (!o.metavar.empty())
+            os << "=<" << o.metavar << ">";
         os << "\n      " << o.help << " (default: " << o.def << ")\n";
     }
     return os.str();

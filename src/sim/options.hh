@@ -31,9 +31,11 @@ class Options
      */
     Options(std::string program, std::string summary);
 
-    /** Register options (call before parse()). */
+    /** Register options (call before parse()). A string option's
+     * @p metavar names its value in the usage text. */
     void addString(const std::string &name, const std::string &def,
-                   const std::string &help);
+                   const std::string &help,
+                   const std::string &metavar = "string");
     void addInt(const std::string &name, long def,
                 const std::string &help);
     void addDouble(const std::string &name, double def,
@@ -75,12 +77,14 @@ class Options
         std::string value;
         std::string def;
         std::string help;
+        std::string metavar;
         bool set = false;
     };
 
     const Option &lookup(const std::string &name, Kind kind) const;
     void add(const std::string &name, Kind kind,
-             const std::string &def, const std::string &help);
+             const std::string &def, const std::string &help,
+             const std::string &metavar);
 
     std::string program_;
     std::string summary_;

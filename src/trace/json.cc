@@ -45,7 +45,12 @@ jsonEscape(const std::string &s)
 std::string
 jsonString(const std::string &s)
 {
-    return "\"" + jsonEscape(s) + "\"";
+    // Appending in place: GCC 12 at -O3 flags the equivalent
+    // `"\"" + jsonEscape(s) + "\""` with a false -Wrestrict.
+    std::string out = "\"";
+    out += jsonEscape(s);
+    out += '"';
+    return out;
 }
 
 std::string

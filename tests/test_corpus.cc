@@ -16,16 +16,20 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include "exp/spec.hh"
 #include "fuzz/fuzzer.hh"
 #include "fuzz/oracle.hh"
 #include "fuzz/shrink.hh"
 #include "sim/log.hh"
+#include "sim/options.hh"
 
 using namespace kelp;
 using namespace kelp::fuzz;
+using kelp::exp::ScenarioSpec;
 
 namespace {
 
@@ -48,6 +52,37 @@ TEST(Corpus, FileNamesAreCanonical)
 {
     for (const auto &[name, entry] : corpus())
         EXPECT_EQ(name, corpusFileName(entry));
+}
+
+TEST(Corpus, EntriesReplayAsKelpsimFlags)
+{
+    // kelpsim's run flags are the spec keys: every spec line of an
+    // entry, prefixed with "--", is a kelpsim flag, and the run those
+    // flags describe prints back as the entry's spec.
+    for (const auto &[name, entry] : corpus()) {
+        std::ifstream in(std::string(CORPUS_DIR) + "/" + name);
+        ASSERT_TRUE(in) << name;
+        std::vector<std::string> flags;
+        std::string line;
+        while (std::getline(in, line)) {
+            if (!line.empty() && line[0] != '#')
+                flags.push_back("--" + line);
+        }
+        std::vector<const char *> argv = {"kelpsim"};
+        for (const std::string &f : flags)
+            argv.push_back(f.c_str());
+
+        sim::Options opts("kelpsim", "corpus replay");
+        ScenarioSpec().addFlags(opts);
+        ASSERT_TRUE(opts.parse(static_cast<int>(argv.size()),
+                               argv.data()))
+            << name;
+        std::string error;
+        std::optional<ScenarioSpec> spec =
+            ScenarioSpec::fromFlags(opts, &error);
+        ASSERT_TRUE(spec.has_value()) << name << ": " << error;
+        EXPECT_EQ(spec->toString(), entry.spec.toString()) << name;
+    }
 }
 
 TEST(Corpus, OpenEntriesStillFireTheirOracle)

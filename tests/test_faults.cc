@@ -221,6 +221,33 @@ TEST(FaultPlan, TryParseRejectsEmptyValue)
     EXPECT_FALSE(FaultPlan::tryParse("drop", &error).has_value());
 }
 
+TEST(FaultPlan, TryParseRejectsRepeatedKey)
+{
+    // Last-one-wins would run a chaos sweep at a fault rate the spec
+    // text does not obviously say.
+    std::string error;
+    EXPECT_FALSE(
+        FaultPlan::tryParse("drop=0.1,drop=0.2", &error).has_value());
+    EXPECT_NE(error.find("repeats key 'drop'"), std::string::npos)
+        << error;
+    EXPECT_FALSE(FaultPlan::tryParse("knobfail=0.1,stuck=0.1,knobfail=0.1",
+                                     &error)
+                     .has_value());
+}
+
+TEST(FaultPlan, TryParseRejectsNonFiniteValue)
+{
+    // nan slips past every range check and any() reads false, so
+    // drop=nan used to run silently fault-free.
+    std::string error;
+    EXPECT_FALSE(FaultPlan::tryParse("drop=nan", &error).has_value());
+    EXPECT_NE(error.find("bad value"), std::string::npos) << error;
+    EXPECT_FALSE(FaultPlan::tryParse("spikescale=inf", &error)
+                     .has_value());
+    EXPECT_FALSE(FaultPlan::tryParse("noisefrac=1e999", &error)
+                     .has_value());
+}
+
 TEST(FaultPlan, TryParseRejectsOutOfRangeProbability)
 {
     std::string error;

@@ -12,16 +12,20 @@
 #include <string>
 #include <vector>
 
+#include "exp/spec.hh"
 #include "fuzz/fuzzer.hh"
 #include "fuzz/mutate.hh"
 #include "fuzz/oracle.hh"
 #include "fuzz/shrink.hh"
-#include "fuzz/spec.hh"
 #include "sim/log.hh"
+#include "sim/number.hh"
+#include "sim/options.hh"
 #include "sim/rng.hh"
 
 using namespace kelp;
 using namespace kelp::fuzz;
+using kelp::exp::ScenarioSpec;
+using kelp::sim::formatDouble;
 
 namespace {
 
@@ -115,6 +119,75 @@ TEST(FuzzSpec, CommentsAndBlanksAreSkipped)
     ASSERT_TRUE(spec.has_value());
     EXPECT_EQ(spec->cfg.ml, wl::MlWorkload::Cnn3);
     EXPECT_EQ(spec->cfg.seed, 9u);
+}
+
+namespace {
+
+/** Parse @p args as the flags ScenarioSpec::addFlags registers on
+ * top of @p defaults; nullopt + *error on a bad value. */
+std::optional<ScenarioSpec>
+specFromFlags(const ScenarioSpec &defaults,
+              std::vector<const char *> args, std::string *error)
+{
+    sim::Options opts("prog", "spec flags");
+    defaults.addFlags(opts);
+    args.insert(args.begin(), "prog");
+    EXPECT_TRUE(opts.parse(static_cast<int>(args.size()), args.data()));
+    return ScenarioSpec::fromFlags(opts, error);
+}
+
+} // namespace
+
+TEST(FuzzSpec, FlagsDefaultToTheRegisteringSpec)
+{
+    ScenarioSpec defaults = quickSpec();
+    defaults.cfg.kills = {2.5};
+    std::string error;
+    auto spec = specFromFlags(defaults, {}, &error);
+    ASSERT_TRUE(spec.has_value()) << error;
+    EXPECT_EQ(*spec, defaults);
+}
+
+TEST(FuzzSpec, FlagsSetTheirKeys)
+{
+    std::string error;
+    auto spec = specFromFlags(
+        ScenarioSpec(),
+        {"--ml=rnn1", "--cpu", "dram", "--level=medium", "--churn",
+         "--hardened=false", "--slo=1", "--kills=9,4",
+         "--faults=drop=0.05", "--seed=77"},
+        &error);
+    ASSERT_TRUE(spec.has_value()) << error;
+    EXPECT_EQ(spec->cfg.ml, wl::MlWorkload::Rnn1);
+    EXPECT_EQ(spec->cfg.cpu, wl::CpuWorkload::DramAggressor);
+    EXPECT_EQ(spec->cfg.aggressorLevel, wl::AggressorLevel::Medium);
+    EXPECT_TRUE(spec->cfg.churn.enabled);
+    EXPECT_FALSE(spec->cfg.hardened);
+    EXPECT_TRUE(spec->cfg.slo.enabled);
+    EXPECT_EQ(spec->cfg.seed, 77u);
+    EXPECT_EQ(spec->cfg.faults.toString(), "drop=0.05");
+    EXPECT_NE(spec->toString().find("kills=4,9\n"), std::string::npos);
+}
+
+TEST(FuzzSpec, BadFlagValuesGetTheSpecError)
+{
+    std::string error;
+    EXPECT_FALSE(specFromFlags(ScenarioSpec(), {"--instances=-2"},
+                               &error));
+    EXPECT_NE(error.find("instances: out of range"), std::string::npos)
+        << error;
+    EXPECT_FALSE(specFromFlags(ScenarioSpec(), {"--seed="}, &error));
+    EXPECT_NE(error.find("seed: bad number"), std::string::npos)
+        << error;
+    EXPECT_FALSE(specFromFlags(ScenarioSpec(), {"--seed=-1"}, &error));
+    EXPECT_FALSE(specFromFlags(ScenarioSpec(), {"--threads=1.5"}, &error));
+    EXPECT_FALSE(specFromFlags(ScenarioSpec(), {"--warmup=nan"}, &error));
+    EXPECT_NE(error.find("warmup: bad number"), std::string::npos)
+        << error;
+    EXPECT_FALSE(specFromFlags(ScenarioSpec(), {"--cpu="}, &error));
+    EXPECT_NE(error.find("unknown colocated cpu workload"),
+              std::string::npos)
+        << error;
 }
 
 TEST(FuzzSpec, RandomizedMutantRoundTrip)

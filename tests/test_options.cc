@@ -124,6 +124,32 @@ TEST(Options, BadDoubleFatal)
                 "number");
 }
 
+TEST(Options, NonFiniteDoubleFatal)
+{
+    Options o = makeOptions();
+    const char *argv[] = {"prog", "--ratio=nan"};
+    EXPECT_EXIT(o.parse(2, argv), ::testing::ExitedWithCode(1),
+                "number");
+    Options p = makeOptions();
+    const char *argv2[] = {"prog", "--ratio=-inf"};
+    EXPECT_EXIT(p.parse(2, argv2), ::testing::ExitedWithCode(1),
+                "number");
+}
+
+TEST(Options, EmptyNumberFatal)
+{
+    // strtol("") and strtod("") parse zero characters and report 0;
+    // an empty value must not silently mean seed 0.
+    Options o = makeOptions();
+    const char *argv[] = {"prog", "--count="};
+    EXPECT_EXIT(o.parse(2, argv), ::testing::ExitedWithCode(1),
+                "integer");
+    Options p = makeOptions();
+    const char *argv2[] = {"prog", "--ratio="};
+    EXPECT_EXIT(p.parse(2, argv2), ::testing::ExitedWithCode(1),
+                "number");
+}
+
 TEST(Options, MissingValueFatal)
 {
     Options o = makeOptions();

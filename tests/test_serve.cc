@@ -103,6 +103,11 @@ TEST(TrafficSpec, ParseRejectsMalformedSpecs)
     EXPECT_FALSE(
         TrafficSpec::tryParse("shape=poisson,lowfrac=1.5", &err));
     EXPECT_FALSE(TrafficSpec::tryParse("shape=diurnal,amp=1", &err));
+    // Non-finite and empty numbers.
+    EXPECT_FALSE(
+        TrafficSpec::tryParse("shape=poisson,lowfrac=nan", &err));
+    EXPECT_FALSE(TrafficSpec::tryParse("shape=poisson,qps=inf", &err));
+    EXPECT_FALSE(TrafficSpec::tryParse("shape=poisson,qps=", &err));
     // Spike window longer than its period.
     EXPECT_FALSE(TrafficSpec::tryParse(
         "shape=burst,period=2,len=3", &err));

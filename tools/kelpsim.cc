@@ -8,6 +8,11 @@
  * JSON trace, a controller decision audit log (JSONL), and a run
  * manifest over the run.
  *
+ * The run-defining flags are exactly the exp::ScenarioSpec keys, one
+ * `--key=value` per spec line, parsed by the spec's strict parser;
+ * the remaining flags choose outputs and run modes. The manifest
+ * records the canonical spec, so any run can be replayed from it.
+ *
  * Examples:
  *   kelpsim --ml=cnn1 --cpu=stitch --instances=4 --config=kp
  *   kelpsim --ml=rnn1 --cpu=cpuml --threads=12 --config=ct
@@ -25,9 +30,11 @@
 #include "exp/pool.hh"
 #include "exp/report.hh"
 #include "exp/scenario.hh"
+#include "exp/spec.hh"
 #include "hal/counters.hh"
 #include "hal/fault_injector.hh"
 #include "sim/log.hh"
+#include "sim/number.hh"
 #include "sim/options.hh"
 #include "trace/decision_log.hh"
 #include "trace/run_manifest.hh"
@@ -37,54 +44,6 @@
 using namespace kelp;
 
 namespace {
-
-wl::MlWorkload
-parseMl(const std::string &name)
-{
-    if (name == "rnn1")
-        return wl::MlWorkload::Rnn1;
-    if (name == "cnn1")
-        return wl::MlWorkload::Cnn1;
-    if (name == "cnn2")
-        return wl::MlWorkload::Cnn2;
-    if (name == "cnn3")
-        return wl::MlWorkload::Cnn3;
-    sim::fatal("unknown ML workload '", name,
-               "' (rnn1|cnn1|cnn2|cnn3)");
-}
-
-wl::CpuWorkload
-parseCpu(const std::string &name)
-{
-    if (name == "stream")
-        return wl::CpuWorkload::Stream;
-    if (name == "stitch")
-        return wl::CpuWorkload::Stitch;
-    if (name == "cpuml")
-        return wl::CpuWorkload::Cpuml;
-    if (name == "llc")
-        return wl::CpuWorkload::LlcAggressor;
-    if (name == "dram")
-        return wl::CpuWorkload::DramAggressor;
-    sim::fatal("unknown CPU workload '", name,
-               "' (stream|stitch|cpuml|llc|dram)");
-}
-
-exp::ConfigKind
-parseConfig(const std::string &name)
-{
-    if (name == "bl")
-        return exp::ConfigKind::BL;
-    if (name == "ct")
-        return exp::ConfigKind::CT;
-    if (name == "kpsd" || name == "kp-sd")
-        return exp::ConfigKind::KPSD;
-    if (name == "kp")
-        return exp::ConfigKind::KP;
-    if (name == "fg")
-        return exp::ConfigKind::FG;
-    sim::fatal("unknown config '", name, "' (bl|ct|kpsd|kp|fg)");
-}
 
 cluster::Placement
 parsePlacement(const std::string &name)
@@ -97,18 +56,6 @@ parsePlacement(const std::string &name)
                "' (binpack|interference)");
 }
 
-wl::AggressorLevel
-parseLevel(const std::string &name)
-{
-    if (name == "low" || name == "l")
-        return wl::AggressorLevel::Low;
-    if (name == "medium" || name == "m")
-        return wl::AggressorLevel::Medium;
-    if (name == "high" || name == "h")
-        return wl::AggressorLevel::High;
-    sim::fatal("unknown aggressor level '", name, "' (low|medium|high)");
-}
-
 } // namespace
 
 int
@@ -117,27 +64,11 @@ main(int argc, char **argv)
     sim::Options opts("kelpsim",
                       "run one colocation experiment on a simulated "
                       "accelerated node");
-    opts.addString("ml", "cnn1", "ML workload: rnn1|cnn1|cnn2|cnn3");
-    opts.addString("cpu", "",
-                   "colocated CPU workload: "
-                   "stream|stitch|cpuml|llc|dram (empty = standalone)");
-    opts.addString("config", "kp", "runtime: bl|ct|kpsd|kp|fg");
-    opts.addInt("instances", 1, "CPU workload instances");
-    opts.addInt("threads", 0, "CPU thread-count override (0 = auto)");
-    opts.addString("level", "high",
-                   "dram aggressor level: low|medium|high");
-    opts.addDouble("warmup", 80.0, "warmup simulated seconds");
-    opts.addDouble("measure", 60.0, "measured simulated seconds");
-    opts.addDouble("period", 4.0, "controller sampling period, s");
-    opts.addInt("seed", 12345, "random seed");
-    opts.addString("faults", "",
-                   "HAL fault plan, e.g. "
-                   "drop=0.1,stuck=0.05,noise=0.1,spike=0.02,"
-                   "knobfail=0.2,knobdelay=0.1 (empty = no faults)");
-    opts.addInt("fault-seed", 1, "fault-injection random seed");
-    opts.addBool("naive", false,
-                 "disable controller hardening and the fail-safe "
-                 "watchdog under --faults");
+    // One flag per spec key; kelpsim's only own default is the full
+    // Kelp runtime.
+    exp::ScenarioSpec defaults;
+    defaults.cfg.config = exp::ConfigKind::KP;
+    defaults.addFlags(opts);
     opts.addString("telemetry", "",
                    "write knob/signal time series to this CSV file");
     opts.addString("trace", "",
@@ -148,24 +79,8 @@ main(int argc, char **argv)
                    "write the controller decision audit log (JSONL) "
                    "to this file");
     opts.addString("manifest", "",
-                   "write a run manifest (seed, config, build, "
+                   "write a run manifest (the run's spec, build, "
                    "result summary) JSON to this file");
-    opts.addBool("churn", false,
-                 "dynamic colocation churn: seeded task arrival/"
-                 "departure/crash events mid-run");
-    opts.addDouble("churn-rate", 1.0 / 20.0,
-                   "mean churn arrivals per second");
-    opts.addDouble("churn-crash", 0.1,
-                   "probability a churned task crashes");
-    opts.addInt("churn-max", 4, "max concurrently-live churned tasks");
-    opts.addInt("churn-seed", 99, "churn random seed");
-    opts.addDouble("kill-at", 0.0,
-                   "crash + restart the controller at this time, s "
-                   "(0 = never)");
-    opts.addBool("slo", false,
-                 "arm the SLO degradation ladder (kp/kpsd)");
-    opts.addDouble("slo-floor", 0.85,
-                   "SLO floor: min acceptable ML perf ratio");
     opts.addInt("cluster", 0,
                 "simulate a cluster of this many Kelp-managed nodes "
                 "instead of one node (uses --ml, --config, --seed, "
@@ -174,11 +89,6 @@ main(int argc, char **argv)
                 "simulated node-hours per node (--cluster runs)");
     opts.addString("cluster-placement", "interference",
                    "cluster scheduler: binpack|interference");
-    opts.addString("traffic", "",
-                   "open-loop request traffic spec, e.g. "
-                   "shape=poisson,qps=300 or "
-                   "shape=burst,qps=300,factor=8 (empty = "
-                   "closed-loop ML task, the paper's setup)");
     opts.addBool("contract-selftest", false,
                  "deliberately violate one contract before the run "
                  "(verifies the release-mode violation counter "
@@ -206,6 +116,13 @@ main(int argc, char **argv)
                      opts.usage().c_str());
         return 2;
     }
+    std::string specError;
+    std::optional<exp::ScenarioSpec> spec =
+        exp::ScenarioSpec::fromFlags(opts, &specError);
+    if (!spec)
+        sim::fatal("bad run spec: ", specError, "\n", opts.usage());
+    exp::RunConfig cfg = spec->cfg;
+    cfg.eventDriven = !opts.getBool("full-tick");
 
     if (opts.getInt("cluster") > 0) {
         cluster::ClusterConfig ccfg;
@@ -213,10 +130,10 @@ main(int argc, char **argv)
         ccfg.epochs = static_cast<int>(opts.getInt("cluster-epochs"));
         ccfg.placement =
             parsePlacement(opts.getString("cluster-placement"));
-        ccfg.ml = parseMl(opts.getString("ml"));
-        ccfg.config = parseConfig(opts.getString("config"));
-        ccfg.sloFloor = opts.getDouble("slo-floor");
-        ccfg.seed = static_cast<uint64_t>(opts.getInt("seed"));
+        ccfg.ml = cfg.ml;
+        ccfg.config = cfg.config;
+        ccfg.sloFloor = cfg.slo.minPerfRatio;
+        ccfg.seed = cfg.seed;
         ccfg.jobs = static_cast<int>(opts.getInt("jobs"));
 
         trace::DecisionLog clog;
@@ -273,41 +190,6 @@ main(int argc, char **argv)
         }
         return 0;
     }
-
-    exp::RunConfig cfg;
-    cfg.ml = parseMl(opts.getString("ml"));
-    cfg.config = parseConfig(opts.getString("config"));
-    if (!opts.getString("cpu").empty())
-        cfg.cpu = parseCpu(opts.getString("cpu"));
-    cfg.cpuInstances = static_cast<int>(opts.getInt("instances"));
-    cfg.cpuThreadsOverride = static_cast<int>(opts.getInt("threads"));
-    cfg.aggressorLevel = parseLevel(opts.getString("level"));
-    cfg.warmup = opts.getDouble("warmup");
-    cfg.measure = opts.getDouble("measure");
-    cfg.samplePeriod = opts.getDouble("period");
-    cfg.seed = static_cast<uint64_t>(opts.getInt("seed"));
-    cfg.faults = hal::FaultPlan::parse(opts.getString("faults"));
-    cfg.faultSeed = static_cast<uint64_t>(opts.getInt("fault-seed"));
-    cfg.hardened = !opts.getBool("naive");
-    cfg.churn.enabled = opts.getBool("churn");
-    cfg.churn.arrivalRate = opts.getDouble("churn-rate");
-    cfg.churn.crashProb = opts.getDouble("churn-crash");
-    cfg.churn.maxLive = static_cast<int>(opts.getInt("churn-max"));
-    cfg.churn.seed = static_cast<uint64_t>(opts.getInt("churn-seed"));
-    cfg.killAt = opts.getDouble("kill-at");
-    cfg.slo.enabled = opts.getBool("slo");
-    cfg.slo.minPerfRatio = opts.getDouble("slo-floor");
-    if (!opts.getString("traffic").empty()) {
-        std::string terr;
-        std::optional<serve::TrafficSpec> traffic =
-            serve::TrafficSpec::tryParse(opts.getString("traffic"),
-                                         &terr);
-        if (!traffic)
-            sim::fatal("bad --traffic spec: ", terr);
-        cfg.serving.enabled = true;
-        cfg.serving.traffic = *traffic;
-    }
-    cfg.eventDriven = !opts.getBool("full-tick");
 
     if (opts.getBool("contract-selftest")) {
         // Count mode regardless of build type so the violation is
@@ -380,19 +262,8 @@ main(int argc, char **argv)
         if (!manifestPath.empty()) {
             trace::RunManifest man;
             man.set("tool", "kelpsim");
-            man.set("ml", wl::mlName(cfg.ml));
-            man.set("cpu", cfg.cpu ? wl::cpuName(*cfg.cpu) : "");
-            man.set("config", exp::configName(cfg.config));
-            man.set("cpu_instances", cfg.cpuInstances);
-            man.set("seed", cfg.seed);
+            man.set("spec", spec->toString());
             man.set("tick_s", cfg.tick);
-            man.set("warmup_s", cfg.warmup);
-            man.set("measure_s", cfg.measure);
-            man.set("sample_period_s", cfg.samplePeriod);
-            man.set("faults", cfg.faults.any());
-            man.set("hardened", cfg.hardened);
-            man.set("churn", cfg.churn.enabled);
-            man.set("slo", cfg.slo.enabled);
             man.set("contract_violations", sim::contractViolations());
             man.set("ml_perf", r.mlPerf);
             man.set("ml_perf_ref", ref.mlPerf);
@@ -423,7 +294,6 @@ main(int argc, char **argv)
                                  s.inferTask->latency());
             }
             if (s.server) {
-                man.set("traffic", cfg.serving.traffic.toString());
                 man.set("req_arrivals", r.reqArrivals);
                 man.set("req_admitted", r.reqAdmitted);
                 man.set("req_rejected", r.reqRejected);
@@ -496,10 +366,16 @@ main(int argc, char **argv)
                         r.brownoutTransitions),
                     r.brownoutFinal);
     }
-    if (cfg.killAt > 0.0) {
-        std::printf("  restarts       : %llu (kill at %.0f s)\n",
+    if (!cfg.kills.empty()) {
+        std::string kills;
+        for (sim::Time t : cfg.kills) {
+            if (!kills.empty())
+                kills += ", ";
+            kills += sim::formatDouble(t);
+        }
+        std::printf("  restarts       : %llu (kills at %s s)\n",
                     static_cast<unsigned long long>(r.restarts),
-                    cfg.killAt);
+                    kills.c_str());
     }
     if (cfg.slo.enabled) {
         std::printf("  SLO ladder     : %llu violations, %llu rung "
