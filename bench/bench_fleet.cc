@@ -118,10 +118,13 @@ main(int argc, char **argv)
     for (const Cell &cell : cells) {
         cluster::ClusterResult r = cluster::simulateCluster(
             cellConfig(cell, nodes, epochs, seed, jobs));
+        // A training ML serves no requests, so it has no tails.
         fleet::FleetResult tails = r.tails();
         table.addRow({cellName(cell), exp::pct(r.sloFraction(), 1),
                       exp::pct(r.strandedRatio(), 1),
-                      exp::fmt(tails.percentile(99.0) * 1e3, 3),
+                      tails.count() > 0 ?
+                          exp::fmt(tails.percentile(99.0) * 1e3, 3) :
+                          "absent",
                       std::to_string(r.placed),
                       std::to_string(r.rejected),
                       std::to_string(r.migrations),
@@ -135,7 +138,8 @@ main(int argc, char **argv)
         manifest.set(key + ".migrations", r.migrations);
         manifest.set(key + ".evictions", r.evictions);
         manifest.set(key + ".evaluations", r.evaluations);
-        manifest.addSamples(key + ".node_tail_p95_s", r.tailSamples);
+        if (!r.tailSamples.empty())
+            manifest.addSamples(key + ".node_tail_p95_s", r.tailSamples);
         results.push_back(std::move(r));
     }
     table.print();

@@ -13,6 +13,7 @@
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "trace/decision_log.hh"
+#include "workload/catalog.hh"
 
 namespace kelp {
 namespace cluster {
@@ -280,6 +281,7 @@ simulateCluster(const ClusterConfig &cfg, trace::DecisionLog *log)
     // idle signature: the same-windows baseline every colocated
     // measurement normalizes against.
     const EvalKey idle_key{-1, 0};
+    const bool inference = wl::mlDesc(cfg.ml).inference;
     exp::prewarmReferences({signatureConfig(cfg, idle_key)});
 
     std::map<EvalKey, EvalResult> memo;
@@ -449,8 +451,10 @@ simulateCluster(const ClusterConfig &cfg, trace::DecisionLog *log)
 
             n.perfRatio = er.mlPerf / ref_perf * factor;
             n.saturation = er.saturation;
-            double tail = er.tailP95 / factor;
-            result.tailSamples.push_back(tail);
+            // Only an inference ML has request tails; a training
+            // run's 0 is "no requests", not a sample.
+            if (inference)
+                result.tailSamples.push_back(er.tailP95 / factor);
 
             if (n.perfRatio >= cfg.sloFloor) {
                 ++row.sloNodes;

@@ -185,7 +185,8 @@ struct ClusterResult
 
     std::vector<EpochRow> epochs;
 
-    /** Per node-hour ML request-tail (p95) samples, seconds. */
+    /** Per node-hour ML request-tail (p95) samples, seconds; empty
+     * for a training ML, which serves no requests. */
     std::vector<double> tailSamples;
 
     /** Jobs in arrival order (terminal states for tests). */
@@ -199,7 +200,7 @@ struct ClusterResult
 
     /** Fleet-wide tail distribution (shared percentile convention);
      * query e.g. .percentile(99.0) for the fleet p99 of per-node
-     * p95 tails. */
+     * p95 tails. Empty (count() 0) for a training ML. */
     fleet::FleetResult tails() const;
 
     /**

@@ -25,10 +25,21 @@ Llc::hitRate(double capacity_mb, double footprint_mb, double hit_max)
     return hit_max * std::sqrt(std::max(cover, 0.0));
 }
 
-std::unordered_map<int, LlcShare>
+std::vector<LlcShare>
 Llc::apportion(const std::vector<LlcRequest> &requests) const
 {
-    std::unordered_map<int, LlcShare> out;
+    std::vector<LlcShare> out;
+    std::vector<size_t> order;
+    apportion(requests, out, order);
+    return out;
+}
+
+void
+Llc::apportion(const std::vector<LlcRequest> &requests,
+               std::vector<LlcShare> &out,
+               std::vector<size_t> &order) const
+{
+    out.assign(requests.size(), LlcShare{});
 
     int dedicated_ways = 0;
     for (const auto &r : requests)
@@ -41,10 +52,11 @@ Llc::apportion(const std::vector<LlcRequest> &requests) const
     // First pass: dedicated groups take their partitions; shared
     // groups register weighted claims capped by footprint.
     double total_weight = 0.0;
-    for (const auto &r : requests) {
+    for (size_t i = 0; i < requests.size(); ++i) {
+        const LlcRequest &r = requests[i];
         if (r.dedicatedWays > 0) {
             double cap = r.dedicatedWays * wayMb();
-            out[r.group] = {cap, hitRate(cap, r.footprintMb, r.hitMax)};
+            out[i] = {cap, hitRate(cap, r.footprintMb, r.hitMax)};
         } else {
             total_weight += std::max(r.weight, 0.0);
         }
@@ -55,33 +67,33 @@ Llc::apportion(const std::vector<LlcRequest> &requests) const
     // to the remaining competitors.
     double pool = shared_pool;
     double weight_left = total_weight;
-    std::vector<const LlcRequest *> pending;
-    for (const auto &r : requests)
-        if (r.dedicatedWays <= 0)
-            pending.push_back(&r);
+    order.clear();
+    for (size_t i = 0; i < requests.size(); ++i)
+        if (requests[i].dedicatedWays <= 0)
+            order.push_back(i);
 
     // Satisfy small-footprint groups first so redistribution is
     // deterministic regardless of request order.
-    std::sort(pending.begin(), pending.end(),
-              [](const LlcRequest *a, const LlcRequest *b) {
-                  if (a->footprintMb != b->footprintMb)
-                      return a->footprintMb < b->footprintMb;
-                  return a->group < b->group;
-              });
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        const LlcRequest &ra = requests[a];
+        const LlcRequest &rb = requests[b];
+        if (ra.footprintMb != rb.footprintMb)
+            return ra.footprintMb < rb.footprintMb;
+        return ra.group < rb.group;
+    });
 
-    for (const auto *r : pending) {
-        double w = std::max(r->weight, 0.0);
+    for (size_t i : order) {
+        const LlcRequest &r = requests[i];
+        double w = std::max(r.weight, 0.0);
         double fair = weight_left > 0.0 ? pool * w / weight_left : 0.0;
-        double cap = std::min(fair, std::max(r->footprintMb, 0.0));
+        double cap = std::min(fair, std::max(r.footprintMb, 0.0));
         // A zero-weight group still gets to cache in an empty pool.
         if (total_weight <= 0.0)
-            cap = std::min(pool, std::max(r->footprintMb, 0.0));
-        out[r->group] = {cap, hitRate(cap, r->footprintMb, r->hitMax)};
+            cap = std::min(pool, std::max(r.footprintMb, 0.0));
+        out[i] = {cap, hitRate(cap, r.footprintMb, r.hitMax)};
         pool -= cap;
         weight_left -= w;
     }
-
-    return out;
 }
 
 namespace {
@@ -107,7 +119,7 @@ sameRequests(const std::vector<LlcRequest> &a,
 
 } // namespace
 
-const std::unordered_map<int, LlcShare> &
+const std::vector<LlcShare> &
 ApportionCache::get(const Llc &llc,
                     const std::vector<LlcRequest> &requests)
 {
@@ -119,13 +131,11 @@ ApportionCache::get(const Llc &llc,
         const auto fresh = llc.apportion(requests);
         KELP_INVARIANT(fresh.size() == value_.size(),
                        "LLC apportion memo drifted: group set changed");
-        for (const auto &[group, share] : fresh) {
-            auto it = value_.find(group);
-            KELP_INVARIANT(it != value_.end() &&
-                               it->second.capacityMb == share.capacityMb &&
-                               it->second.hitRate == share.hitRate,
+        for (size_t i = 0; i < fresh.size(); ++i) {
+            KELP_INVARIANT(value_[i].capacityMb == fresh[i].capacityMb &&
+                               value_[i].hitRate == fresh[i].hitRate,
                            "LLC apportion memo drifted for group ",
-                           group);
+                           requests[i].group);
         }
 #endif
         return value_;
@@ -134,7 +144,7 @@ ApportionCache::get(const Llc &llc,
     sizeMb_ = llc.sizeMb();
     ways_ = llc.ways();
     key_ = requests;
-    value_ = llc.apportion(requests);
+    llc.apportion(requests, value_, order_);
     return value_;
 }
 

@@ -21,8 +21,8 @@
 #ifndef KELP_CPU_LLC_HH
 #define KELP_CPU_LLC_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hh"
@@ -77,10 +77,20 @@ class Llc
 
     /**
      * Apportion capacity among the given groups and compute each
-     * group's hit rate. Dedicated ways must not exceed the total.
+     * group's hit rate. Returns one share per request, aligned with
+     * the request order. Dedicated ways must not exceed the total.
      */
-    std::unordered_map<int, LlcShare>
+    std::vector<LlcShare>
     apportion(const std::vector<LlcRequest> &requests) const;
+
+    /**
+     * The same apportionment written into caller-owned buffers whose
+     * capacity is reused: `out` receives the shares, `order` is
+     * scratch. For per-tick callers that must not allocate.
+     */
+    void apportion(const std::vector<LlcRequest> &requests,
+                   std::vector<LlcShare> &out,
+                   std::vector<size_t> &order) const;
 
     /** Hit rate for one group occupying the given capacity alone. */
     static double hitRate(double capacity_mb, double footprint_mb,
@@ -103,9 +113,10 @@ class Llc
 class ApportionCache
 {
   public:
-    /** Equivalent to llc.apportion(requests); memoised. The returned
-     * reference stays valid until the next get(). */
-    const std::unordered_map<int, LlcShare> &
+    /** Equivalent to llc.apportion(requests) (shares aligned with
+     * the requests); memoised. The returned reference stays valid
+     * until the next get(). */
+    const std::vector<LlcShare> &
     get(const Llc &llc, const std::vector<LlcRequest> &requests);
 
     uint64_t hits() const { return hits_; }
@@ -115,7 +126,8 @@ class ApportionCache
     double sizeMb_ = -1.0;
     int ways_ = 0;
     std::vector<LlcRequest> key_;
-    std::unordered_map<int, LlcShare> value_;
+    std::vector<LlcShare> value_;
+    std::vector<size_t> order_;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
 };

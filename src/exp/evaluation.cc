@@ -150,9 +150,9 @@ runEvaluationGrid(const GridOptions &opt)
 {
     const std::vector<Mix> mixes = evaluationMixes();
 
-    // Pre-warm the standalone-reference memo serially so the fan-out
-    // only reads it (the memo is also guarded, but warming it here
-    // keeps the progress lines honest about where time goes).
+    // Pre-warm the standalone-reference memo so the fan-out only
+    // reads it (the memo is also guarded, but warming it here keeps
+    // the progress lines honest about where time goes).
     {
         std::vector<RunConfig> cfgs;
         for (const Mix &mix : mixes) {

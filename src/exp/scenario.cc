@@ -547,6 +547,8 @@ measureScenario(Scenario &s, const RunConfig &cfg)
     r.mcCacheHits = s.node->memSystem().mcCacheHits();
     r.mcCacheMisses = s.node->memSystem().mcCacheMisses();
     r.memFastTicks = s.node->memSystem().fastTicks();
+    r.llcMemoHits = s.node->llcMemoHits();
+    r.llcMemoMisses = s.node->llcMemoMisses();
     return r;
 }
 
@@ -557,24 +559,55 @@ runScenario(const RunConfig &cfg)
     return measureScenario(s, cfg);
 }
 
+namespace {
+
+/** Standalone references by ML workload; touch under InitGuard. */
+std::map<wl::MlWorkload, RunResult> &
+referenceMemo()
+{
+    static std::map<wl::MlWorkload, RunResult> memo;
+    return memo;
+}
+
+} // namespace
+
+RunResult
+computeStandaloneReference(wl::MlWorkload ml)
+{
+    RunConfig cfg;
+    cfg.ml = ml;
+    cfg.config = ConfigKind::BL;
+    cfg.cpu.reset();
+    return runScenario(cfg);
+}
+
 RunResult
 standaloneReference(wl::MlWorkload ml)
 {
     // Guarded: pool workers can race to populate the memo (the guard
     // is re-entrant because the SLO configure path recurses here).
     InitGuard guard;
-    static std::map<wl::MlWorkload, RunResult> cache;
-    auto it = cache.find(ml);
-    if (it != cache.end())
+    auto &memo = referenceMemo();
+    auto it = memo.find(ml);
+    if (it != memo.end())
         return it->second;
-
-    RunConfig cfg;
-    cfg.ml = ml;
-    cfg.config = ConfigKind::BL;
-    cfg.cpu.reset();
-    RunResult r = runScenario(cfg);
-    cache[ml] = r;
+    RunResult r = computeStandaloneReference(ml);
+    memo[ml] = r;
     return r;
+}
+
+bool
+hasStandaloneReference(wl::MlWorkload ml)
+{
+    InitGuard guard;
+    return referenceMemo().count(ml) > 0;
+}
+
+void
+storeStandaloneReference(wl::MlWorkload ml, const RunResult &r)
+{
+    InitGuard guard;
+    referenceMemo().emplace(ml, r);
 }
 
 double

@@ -236,6 +236,8 @@ struct RunResult
     uint64_t mcCacheHits = 0;
     uint64_t mcCacheMisses = 0;
     uint64_t memFastTicks = 0;
+    uint64_t llcMemoHits = 0;   ///< LLC apportionment memo hits.
+    uint64_t llcMemoMisses = 0; ///< LLC apportionment memo misses.
 
     /** engineFastTicks / engineTicks (0 when no ticks ran). */
     double skipRatio() const
@@ -329,6 +331,20 @@ RunResult runScenario(const RunConfig &cfg);
  * memoized per workload within the process.
  */
 RunResult standaloneReference(wl::MlWorkload ml);
+
+/**
+ * The run behind standaloneReference(ml), not memoized: a BL run with
+ * no CPU workload and no SLO, so it never re-enters the memo and may
+ * run on any thread.
+ */
+RunResult computeStandaloneReference(wl::MlWorkload ml);
+
+/** True when standaloneReference(ml) is already memoized. */
+bool hasStandaloneReference(wl::MlWorkload ml);
+
+/** Memoize a computeStandaloneReference(ml) result produced
+ * elsewhere; an existing entry wins. */
+void storeStandaloneReference(wl::MlWorkload ml, const RunResult &r);
 
 /**
  * Baseline CPU throughput for a mix at given instance count, used as

@@ -40,10 +40,11 @@ parallelMap(int n, int jobs, const std::function<T(int)> &fn,
 }
 
 /**
- * Serially compute (and memoize) the standalone reference for every
- * ML workload the given configs touch -- including those the
+ * Compute (and memoize) the standalone reference for every ML
+ * workload the given configs touch -- including those the
  * SLO-enabled configure path needs -- so that concurrent runScenario
- * calls only read the memo.
+ * calls only read the memo. When several are missing they run in
+ * parallel on all cores; the memoized results are the serial ones.
  */
 void prewarmReferences(const std::vector<RunConfig> &cfgs);
 

@@ -32,6 +32,7 @@ Controller::addDemand(int requestor, sim::GiBps demand,
                       bool high_priority, sim::Nanoseconds latency_extra)
 {
     KELP_ASSERT(demand >= 0.0, "negative bandwidth demand");
+    KELP_ASSERT(requestor >= 0, "negative requestor id ", requestor);
     if (demand <= 0.0)
         return;
     size_t i = demands_.size();
@@ -61,19 +62,24 @@ Controller::resolve(sim::Time dt)
         double util = utilization_;
         sim::Nanoseconds lat = latency_;
         sim::GiBps del = delivered_;
-        auto saved_grants = grants_;
+        const std::vector<int> saved_ids = touched_;
+        std::vector<Grant> saved_grants;
+        for (int req : saved_ids)
+            saved_grants.push_back(grants_[static_cast<size_t>(req)]);
         arbitrate();
         KELP_INVARIANT(utilization_ == util && latency_ == lat &&
-                           delivered_ == del,
+                           delivered_ == del && touched_ == saved_ids,
                        "controller demand-cache hit diverged from "
                        "full arbitration (mc ", id_, ")");
-        for (const auto &[req, g] : saved_grants) {
-            const Grant cur = grant(req);
+        for (size_t i = 0; i < saved_ids.size(); ++i) {
+            const Grant cur = grant(saved_ids[i]);
+            const Grant &g = saved_grants[i];
             KELP_INVARIANT(cur.delivered == g.delivered &&
                                cur.fraction == g.fraction &&
                                cur.latency == g.latency,
                            "controller demand-cache grant diverged "
-                           "(mc ", id_, ", requestor ", req, ")");
+                           "(mc ", id_, ", requestor ", saved_ids[i],
+                           ")");
         }
 #endif
     } else {
@@ -87,10 +93,28 @@ Controller::resolve(sim::Time dt)
     latAccum_.accumulate(latency_ * std::max(delivered_, 1e-9), dt);
 }
 
+Grant &
+Controller::touch(int requestor)
+{
+    const auto r = static_cast<size_t>(requestor);
+    if (r >= grants_.size()) {
+        grants_.resize(r + 1);
+        present_.resize(r + 1, 0);
+    }
+    if (!present_[r]) {
+        present_[r] = 1;
+        grants_[r] = Grant{};
+        touched_.push_back(requestor);
+    }
+    return grants_[r];
+}
+
 void
 Controller::arbitrate()
 {
-    grants_.clear();
+    for (int req : touched_)
+        present_[static_cast<size_t>(req)] = 0;
+    touched_.clear();
     sim::GiBps total = 0.0;
     for (const auto &d : demands_)
         total += d.demand;
@@ -104,7 +128,7 @@ Controller::arbitrate()
         double frac = total <= capacity_ ? 1.0 : capacity_ / total;
         delivered_ = 0.0;
         for (const auto &d : demands_) {
-            Grant &g = grants_[d.requestor];
+            Grant &g = touch(d.requestor);
             double given = d.demand * frac;
             // A requestor may submit several flows to one controller
             // (e.g., demand + prefetch); merge grants by demand
@@ -141,7 +165,7 @@ Controller::arbitrate()
 
         delivered_ = 0.0;
         for (const auto &d : demands_) {
-            Grant &g = grants_[d.requestor];
+            Grant &g = touch(d.requestor);
             double frac = d.highPriority ? hi_frac : lo_frac;
             sim::Nanoseconds lat =
                 (d.highPriority ? hi_lat : latency_) + d.latencyExtra;
@@ -181,10 +205,10 @@ Controller::fastForward(uint64_t n, sim::Time dt)
 Grant
 Controller::grant(int requestor) const
 {
-    auto it = grants_.find(requestor);
-    if (it == grants_.end())
+    const auto r = static_cast<size_t>(requestor);
+    if (requestor < 0 || r >= present_.size() || !present_[r])
         return Grant{0.0, 1.0, latency_};
-    return it->second;
+    return grants_[r];
 }
 
 } // namespace mem

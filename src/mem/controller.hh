@@ -20,7 +20,7 @@
 #ifndef KELP_MEM_CONTROLLER_HH
 #define KELP_MEM_CONTROLLER_HH
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "mem/latency_curve.hh"
@@ -130,7 +130,8 @@ class Controller
     /** Controller-level effective latency from the last resolve(). */
     sim::Nanoseconds latency() const { return latency_; }
 
-    /** Grant for a requestor (zero Grant if it had no demand). */
+    /** Grant for a requestor: {0, 1, latency()} if it had no demand
+     * in the last arbitration (any id, in range or not). */
     Grant grant(int requestor) const;
 
     /** Total delivered bandwidth from the last resolve(). */
@@ -165,6 +166,10 @@ class Controller
      * produces bitwise-identical outputs. */
     void arbitrate();
 
+    /** The grant slot of a requestor for the running arbitration,
+     * zeroed and marked present on first touch. */
+    Grant &touch(int requestor);
+
     sim::McId id_;
     sim::SocketId socket_;
     sim::GiBps capacity_;
@@ -177,7 +182,14 @@ class Controller
     bool cacheValid_ = false;
     uint64_t cacheHits_ = 0;
     uint64_t cacheMisses_ = 0;
-    std::unordered_map<int, Grant> grants_;
+    /** Grants indexed by requestor id. Only slots whose present_
+     * byte is set hold this arbitration's grant; touched_ lists them
+     * (first-demand order) so the next arbitration clears just those.
+     * Requestor ids are the node's dense task ids, so the vectors
+     * stop growing after the first tick. */
+    std::vector<Grant> grants_;
+    std::vector<uint8_t> present_;
+    std::vector<int> touched_;
     double utilization_ = 0.0;
     sim::Nanoseconds latency_;
     sim::GiBps delivered_ = 0.0;

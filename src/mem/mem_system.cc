@@ -75,6 +75,7 @@ MemSystem::addFlow(int requestor, const Route &route, sim::GiBps demand,
                 "flow home socket out of range");
     KELP_ASSERT(route.reqSocket >= 0 && route.reqSocket < numSockets(),
                 "flow request socket out of range");
+    KELP_ASSERT(requestor >= 0, "negative requestor id ", requestor);
     if (demand <= 0.0)
         return;
     if (!flowsDirty_) {
@@ -119,17 +120,20 @@ MemSystem::resolve(sim::Time dt)
 #ifndef NDEBUG
         // Debug builds pay for a full recompute on every hit and
         // prove the cache would have returned exactly that.
-        const std::unordered_map<int, Grant> cached = grants_;
+        const std::vector<int> cached_ids = touched_;
+        std::vector<Grant> cached;
+        for (int req : cached_ids)
+            cached.push_back(grants_[static_cast<size_t>(req)]);
         resolveFull(dt);
-        KELP_INVARIANT(grants_.size() == cached.size(),
+        KELP_INVARIANT(touched_ == cached_ids,
                        "resolve cache drifted: requestor set changed");
-        for (const auto &[req, g] : grants_) {
-            auto it = cached.find(req);
-            KELP_INVARIANT(it != cached.end() &&
-                               it->second.delivered == g.delivered &&
-                               it->second.fraction == g.fraction &&
-                               it->second.latency == g.latency,
-                           "resolve cache drifted for requestor ", req);
+        for (size_t i = 0; i < cached_ids.size(); ++i) {
+            const Grant g = grant(cached_ids[i]);
+            KELP_INVARIANT(cached[i].delivered == g.delivered &&
+                               cached[i].fraction == g.fraction &&
+                               cached[i].latency == g.latency,
+                           "resolve cache drifted for requestor ",
+                           cached_ids[i]);
         }
 #else
         resolveCached(dt);
@@ -256,9 +260,9 @@ MemSystem::resolveFull(sim::Time dt)
     // 4. Assemble per-requestor grants. The coherence tax from the
     //    inter-socket link inflates every access's latency.
     double coh = upi_.coherenceInflation();
-    grants_.clear();
-    struct Merge { double delivered = 0, demand = 0, lat_w = 0; };
-    std::unordered_map<int, Merge> merged;
+    for (int req : touched_)
+        present_[static_cast<size_t>(req)] = 0;
+    touched_.clear();
     for (const auto &f : flows_) {
         double snc = sncFactor(f.route);
         bool remote = f.route.homeSocket != f.route.reqSocket;
@@ -282,12 +286,24 @@ MemSystem::resolveFull(sim::Time dt)
             lat = (g0.latency + g1.latency) / 2.0;
         }
         lat = lat * snc * coh;
-        auto &m = merged[f.requestor];
+        const auto r = static_cast<size_t>(f.requestor);
+        if (r >= present_.size()) {
+            grants_.resize(r + 1);
+            merged_.resize(r + 1);
+            present_.resize(r + 1, 0);
+        }
+        if (!present_[r]) {
+            present_[r] = 1;
+            merged_[r] = Merge{};
+            touched_.push_back(f.requestor);
+        }
+        Merge &m = merged_[r];
         m.delivered += delivered;
         m.demand += f.demand;
         m.lat_w += lat * std::max(delivered, 1e-12);
     }
-    for (const auto &[req, m] : merged) {
+    for (int req : touched_) {
+        const Merge &m = merged_[static_cast<size_t>(req)];
         Grant g;
         g.delivered = m.delivered;
         g.fraction = m.demand > 0.0 ?
@@ -306,7 +322,7 @@ MemSystem::resolveFull(sim::Time dt)
         KELP_ENSURES(g.latency > 0.0,
                      "non-positive grant latency for requestor ",
                      req);
-        grants_[req] = g;
+        grants_[static_cast<size_t>(req)] = g;
     }
 
     // 5. Socket-level counters for the HAL.
@@ -363,10 +379,10 @@ MemSystem::accumulateSocketCounters(sim::Time dt)
 Grant
 MemSystem::grant(int requestor) const
 {
-    auto it = grants_.find(requestor);
-    if (it == grants_.end())
+    const auto r = static_cast<size_t>(requestor);
+    if (requestor < 0 || r >= present_.size() || !present_[r])
         return Grant{0.0, 1.0, cfg_.socket.baseLatency};
-    return it->second;
+    return grants_[r];
 }
 
 double

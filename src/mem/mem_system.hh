@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/backpressure.hh"
@@ -144,7 +143,9 @@ class MemSystem
     /** Resolve all flows for a tick of length dt. */
     void resolve(sim::Time dt);
 
-    /** Aggregated grant for a requestor across all its flows. */
+    /** Aggregated grant for a requestor across all its flows;
+     * {0, 1, baseLatency()} if it submitted no flow in the last full
+     * resolve (any id, in range or not). */
     Grant grant(int requestor) const;
 
     /**
@@ -236,6 +237,14 @@ class MemSystem
         bool highPriority;
     };
 
+    /** One requestor's flows, summed while assembling grants. */
+    struct Merge
+    {
+        double delivered = 0.0;
+        double demand = 0.0;
+        double lat_w = 0.0;
+    };
+
     struct SocketState
     {
         std::array<std::unique_ptr<Controller>, 2> mc;
@@ -262,7 +271,15 @@ class MemSystem
     std::vector<SocketState> sockets_;
     UpiLink upi_;
     std::vector<Flow> flows_;
-    std::unordered_map<int, Grant> grants_;
+
+    /** Per-requestor grants and merge scratch, indexed by requestor
+     * id (the node's dense task ids). present_ marks the requestors
+     * of the last full resolve; touched_ lists them in first-flow
+     * order so the next one clears only those slots. */
+    std::vector<Grant> grants_;
+    std::vector<Merge> merged_;
+    std::vector<uint8_t> present_;
+    std::vector<int> touched_;
 
     /** Resolve-cache state (see setResolveCacheEnabled). */
     std::vector<Flow> prevFlows_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "sim/log.hh"
 
@@ -28,7 +27,8 @@ Node::addTask(std::unique_ptr<wl::Task> task)
     task->setId(static_cast<int>(tasks_.size()));
     task->setChangeHook([this]() { markDirty(); });
     tasks_.push_back(std::move(task));
-    states_.push_back(TaskState{tasks_.back().get(), {}, {}});
+    states_.emplace_back();
+    states_.back().task = tasks_.back().get();
     markDirty();
     return *tasks_.back();
 }
@@ -43,15 +43,6 @@ Node::attach(sim::Engine &engine)
         [this](sim::Time now, sim::Time dt, uint64_t max_ticks) {
             return fastForward(now, dt, max_ticks);
         });
-}
-
-Node::TaskState &
-Node::stateOf(const wl::Task &task)
-{
-    KELP_ASSERT(task.id() >= 0 &&
-                task.id() < static_cast<int>(states_.size()),
-                "task not placed on this node");
-    return states_[task.id()];
 }
 
 const wl::ExecEnv &
@@ -101,28 +92,43 @@ Node::hungriestRunnable(sim::GroupId group)
     return best;
 }
 
+uint64_t
+Node::llcMemoHits() const
+{
+    uint64_t n = 0;
+    for (const auto &c : llcCaches_)
+        n += c.hits();
+    return n;
+}
+
+uint64_t
+Node::llcMemoMisses() const
+{
+    uint64_t n = 0;
+    for (const auto &c : llcCaches_)
+        n += c.misses();
+    return n;
+}
+
 void
 Node::computeCoreShares()
 {
-    // A pool is a set of tasks sharing a set of cores: one pool per
-    // pinned group per socket, plus one floating pool per socket over
-    // the unpinned cores.
-    struct Pool
-    {
-        double cores = 0.0;
-        std::array<double, 2> coresPerSub = {0.0, 0.0};
-        int threads = 0;
-        std::vector<TaskState *> members;
-    };
-
+    pools_.resize(static_cast<size_t>(groups_.size()));
     for (int s = 0; s < topo_.sockets(); ++s) {
-        std::unordered_map<int, Pool> pinned_pools;
-        Pool floating;
+        for (Pool &p : pools_) {
+            p.pinned = false;
+            p.threads = 0;
+            p.members.clear();
+        }
+        Pool &floating = floatingPool_;
+        floating.threads = 0;
+        floating.members.clear();
 
         int pinned_cores = 0;
         for (const auto &g : groups_.all()) {
             if (!g->floating() && g->cores().inSocket(s) > 0) {
-                Pool &p = pinned_pools[g->id()];
+                Pool &p = pools_[static_cast<size_t>(g->id())];
+                p.pinned = true;
                 p.cores = g->cores().inSocket(s);
                 p.coresPerSub[0] = g->cores().inSubdomain(s, 0);
                 p.coresPerSub[1] = g->cores().inSubdomain(s, 1);
@@ -146,13 +152,11 @@ Node::computeCoreShares()
                 continue;
             }
             const auto &g = groups_.get(st.task->group());
-            Pool *pool = nullptr;
-            if (!g.floating() && pinned_pools.count(g.id()))
-                pool = &pinned_pools[g.id()];
-            else
-                pool = &floating;
-            pool->threads += st.task->threadsWanted();
-            pool->members.push_back(&st);
+            Pool &pinned = pools_[static_cast<size_t>(g.id())];
+            Pool &pool = !g.floating() && pinned.pinned ? pinned
+                                                         : floating;
+            pool.threads += st.task->threadsWanted();
+            pool.members.push_back(&st);
         }
 
         auto apply = [this](Pool &pool) {
@@ -194,8 +198,9 @@ Node::computeCoreShares()
             }
         };
 
-        for (auto &[id, pool] : pinned_pools)
-            apply(pool);
+        for (Pool &p : pools_)
+            if (p.pinned)
+                apply(p);
         apply(floating);
     }
 }
@@ -205,9 +210,14 @@ Node::computeLlc()
 {
     // Miss ratios are rebuilt from scratch every tick: a task
     // accumulates one weighted contribution per LLC domain it has
-    // cores in (-1 marks "no contribution yet").
-    for (auto &st : states_)
+    // cores in (-1 marks "no contribution yet"). Any task with cores
+    // in some domain has them on its socket, so its profile is read
+    // here once for every domain below.
+    for (auto &st : states_) {
         st.env.missRatio = -1.0;
+        if (st.coresPerSub[0] + st.coresPerSub[1] > 1e-9)
+            st.llc = st.task->llcProfile();
+    }
 
     bool snc = mem_.sncEnabled();
     for (int s = 0; s < topo_.sockets(); ++s) {
@@ -219,8 +229,8 @@ Node::computeLlc()
                                topo_.config().llcWays);
 
             // Gather requests from tasks with cores in this domain.
-            std::vector<cpu::LlcRequest> reqs;
-            std::vector<TaskState *> present;
+            llcReqs_.clear();
+            llcPresent_.clear();
             for (auto &st : states_) {
                 if (st.task->homeSocket() != s)
                     continue;
@@ -229,31 +239,30 @@ Node::computeLlc()
                 if (cores <= 1e-9)
                     continue;
                 const auto &g = groups_.get(st.task->group());
-                wl::HostPhaseParams prof = st.task->llcProfile();
                 cpu::LlcRequest r;
                 r.group = st.task->id();
-                r.footprintMb = prof.llcFootprintMb;
-                r.weight = prof.llcWeight * cores;
+                r.footprintMb = st.llc.llcFootprintMb;
+                r.weight = st.llc.llcWeight * cores;
                 r.dedicatedWays =
                     std::min(g.catWays(), llc.ways() - 1);
-                r.hitMax = prof.llcHitMax;
-                reqs.push_back(r);
-                present.push_back(&st);
+                r.hitMax = st.llc.llcHitMax;
+                llcReqs_.push_back(r);
+                llcPresent_.push_back(&st);
             }
-            if (reqs.empty())
+            if (llcReqs_.empty())
                 continue;
 
             const auto &shares =
-                llcCaches_[static_cast<size_t>(s * 2 + d)].get(llc,
-                                                               reqs);
-            for (auto *st : present) {
-                wl::HostPhaseParams prof = st->task->llcProfile();
+                llcCaches_[static_cast<size_t>(s * 2 + d)].get(
+                    llc, llcReqs_);
+            for (size_t i = 0; i < llcPresent_.size(); ++i) {
+                TaskState *st = llcPresent_[i];
                 // Standalone reference: the full socket LLC, alone,
                 // SNC off (the paper's normalization baseline).
                 double hit_alone = cpu::Llc::hitRate(
                     topo_.config().llcMbPerSocket,
-                    prof.llcFootprintMb, prof.llcHitMax);
-                double hit_now = shares.at(st->task->id()).hitRate;
+                    st->llc.llcFootprintMb, st->llc.llcHitMax);
+                double hit_now = shares[i].hitRate;
                 double miss_alone = std::max(1.0 - hit_alone, 0.01);
                 double miss_now = std::max(1.0 - hit_now, 0.0);
                 double ratio = miss_now / miss_alone;

@@ -162,6 +162,10 @@ class Node
     /** Task-ticks consumed through the fast path. */
     uint64_t fastTaskTicks() const { return fastTaskTicks_; }
 
+    /** LLC apportionment memo hits/misses, summed over domains. */
+    uint64_t llcMemoHits() const;
+    uint64_t llcMemoMisses() const;
+
   private:
     struct TaskState
     {
@@ -171,6 +175,21 @@ class Node
         std::array<double, 2> coresPerSub = {0.0, 0.0};
         /** Bandwidth demand submitted on the last tick, GiB/s. */
         double lastDemand = 0.0;
+        /** This tick's llcProfile(), fetched once by computeLlc for
+         * tasks holding cores. */
+        wl::HostPhaseParams llc;
+    };
+
+    /** A set of tasks sharing a set of cores: one per pinned group
+     * per socket, plus one floating pool per socket over the
+     * unpinned cores. */
+    struct Pool
+    {
+        bool pinned = false;
+        double cores = 0.0;
+        std::array<double, 2> coresPerSub = {0.0, 0.0};
+        int threads = 0;
+        std::vector<TaskState *> members;
     };
 
     /** Phase 1: pools, effective cores, SMT. */
@@ -190,8 +209,6 @@ class Node
     /** Debug cross-check: recompute the full pre-resolve pipeline
      * and KELP_INVARIANT it against the cached environments. */
     void verifyQuiescent(sim::Time dt);
-
-    TaskState &stateOf(const wl::Task &task);
 
     PlatformSpec spec_;
     cpu::Topology topo_;
@@ -219,6 +236,15 @@ class Node
     /** Per-(socket, domain) apportionment memos (2 sockets x 2
      * domains; the non-SNC case uses domain 0 only). */
     std::array<cpu::ApportionCache, 4> llcCaches_;
+
+    /** Per-tick scratch, reused so a steady-state full tick
+     * allocates nothing: core pools indexed by group id plus the
+     * floating pool, and one LLC domain's requests with the states
+     * they came from (aligned). */
+    std::vector<Pool> pools_;
+    Pool floatingPool_;
+    std::vector<cpu::LlcRequest> llcReqs_;
+    std::vector<TaskState *> llcPresent_;
 };
 
 } // namespace node

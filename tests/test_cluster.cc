@@ -226,6 +226,24 @@ TEST(Cluster, TailsUseSharedPercentileConvention)
     EXPECT_DOUBLE_EQ(tails.percentile(0.0), tails.values().front());
 }
 
+TEST(Cluster, TrainingMlHasNoTails)
+{
+    // A training ML serves no requests: its per-node tails are
+    // absent, not zeros, and the summary prints no tail line.
+    ClusterConfig cfg = smallCluster();
+    cfg.ml = wl::MlWorkload::Cnn1;
+    ClusterResult r = simulateCluster(cfg);
+    EXPECT_GT(r.nodeHours, 0u);
+    EXPECT_TRUE(r.tailSamples.empty());
+    EXPECT_EQ(r.tails().count(), 0u);
+    EXPECT_EQ(r.canonicalText().find("tail-ms"), std::string::npos);
+
+    // The inference default still samples one tail per node-hour.
+    ClusterResult inf = simulateCluster(smallCluster());
+    EXPECT_EQ(inf.tailSamples.size(), inf.nodeHours);
+    EXPECT_NE(inf.canonicalText().find("tail-ms"), std::string::npos);
+}
+
 TEST(Cluster, DecisionLogAuditsSchedulerActions)
 {
     ClusterConfig cfg = smallCluster();

@@ -41,9 +41,9 @@ TEST(Llc, DedicatedWaysAreExclusive)
         {2, 100.0, 1.0, 0, 0.5}, // shared pool
     };
     auto shares = llc.apportion(reqs);
-    EXPECT_DOUBLE_EQ(shares.at(1).capacityMb, 8.0);
-    EXPECT_DOUBLE_EQ(shares.at(1).hitRate, 0.9);
-    EXPECT_DOUBLE_EQ(shares.at(2).capacityMb, 24.0);
+    EXPECT_DOUBLE_EQ(shares[0].capacityMb, 8.0);
+    EXPECT_DOUBLE_EQ(shares[0].hitRate, 0.9);
+    EXPECT_DOUBLE_EQ(shares[1].capacityMb, 24.0);
 }
 
 TEST(Llc, SharedPoolWeightedSplit)
@@ -54,8 +54,8 @@ TEST(Llc, SharedPoolWeightedSplit)
         {2, 100.0, 2.0, 0, 0.5},
     };
     auto shares = llc.apportion(reqs);
-    EXPECT_NEAR(shares.at(1).capacityMb, 10.0, 1e-9);
-    EXPECT_NEAR(shares.at(2).capacityMb, 20.0, 1e-9);
+    EXPECT_NEAR(shares[0].capacityMb, 10.0, 1e-9);
+    EXPECT_NEAR(shares[1].capacityMb, 20.0, 1e-9);
 }
 
 TEST(Llc, FootprintCapRedistributes)
@@ -66,8 +66,8 @@ TEST(Llc, FootprintCapRedistributes)
         {2, 100.0, 1.0, 0, 0.5},  // takes the rest
     };
     auto shares = llc.apportion(reqs);
-    EXPECT_NEAR(shares.at(1).capacityMb, 5.0, 1e-9);
-    EXPECT_NEAR(shares.at(2).capacityMb, 25.0, 1e-9);
+    EXPECT_NEAR(shares[0].capacityMb, 5.0, 1e-9);
+    EXPECT_NEAR(shares[1].capacityMb, 25.0, 1e-9);
 }
 
 TEST(Llc, OrderIndependent)
@@ -80,8 +80,44 @@ TEST(Llc, OrderIndependent)
     std::vector<LlcRequest> rev = {fwd[1], fwd[0]};
     auto a = llc.apportion(fwd);
     auto b = llc.apportion(rev);
-    EXPECT_DOUBLE_EQ(a.at(1).capacityMb, b.at(1).capacityMb);
-    EXPECT_DOUBLE_EQ(a.at(2).capacityMb, b.at(2).capacityMb);
+    // Shares are aligned with each call's request order.
+    EXPECT_DOUBLE_EQ(a[0].capacityMb, b[1].capacityMb);
+    EXPECT_DOUBLE_EQ(a[1].capacityMb, b[0].capacityMb);
+}
+
+TEST(Llc, PermutedRequestsAlignShares)
+{
+    // Dedicated, small shared, and large shared groups: every
+    // permutation of the requests must return each group's share at
+    // that group's position. Weights are exact binary fractions, so
+    // every permutation sums them exactly.
+    Llc llc(32.0, 16);
+    const std::vector<LlcRequest> base = {
+        {3, 6.0, 1.0, 2, 0.9},
+        {5, 4.0, 0.5, 0, 0.8},
+        {8, 100.0, 2.0, 0, 0.6},
+        {9, 40.0, 1.0, 0, 0.7},
+    };
+    const auto want = llc.apportion(base);
+    ASSERT_EQ(want.size(), base.size());
+
+    std::vector<size_t> perm = {0, 1, 2, 3};
+    int permutations = 0;
+    do {
+        std::vector<LlcRequest> reqs;
+        for (size_t i : perm)
+            reqs.push_back(base[i]);
+        const auto got = llc.apportion(reqs);
+        ASSERT_EQ(got.size(), reqs.size());
+        for (size_t k = 0; k < perm.size(); ++k) {
+            EXPECT_DOUBLE_EQ(got[k].capacityMb, want[perm[k]].capacityMb)
+                << "group " << reqs[k].group;
+            EXPECT_DOUBLE_EQ(got[k].hitRate, want[perm[k]].hitRate)
+                << "group " << reqs[k].group;
+        }
+        ++permutations;
+    } while (std::next_permutation(perm.begin(), perm.end()));
+    EXPECT_EQ(permutations, 24);
 }
 
 TEST(Llc, SingleGroupGetsEverything)
@@ -89,7 +125,7 @@ TEST(Llc, SingleGroupGetsEverything)
     Llc llc(32.0, 16);
     std::vector<LlcRequest> reqs = {{1, 100.0, 1.0, 0, 0.5}};
     auto shares = llc.apportion(reqs);
-    EXPECT_NEAR(shares.at(1).capacityMb, 32.0, 1e-9);
+    EXPECT_NEAR(shares[0].capacityMb, 32.0, 1e-9);
 }
 
 TEST(Llc, TooManyDedicatedWaysPanics)

@@ -168,6 +168,14 @@ TEST(Controller, NegativeDemandPanics)
     EXPECT_DEATH(mc.addDemand(1, -1.0, false, 0.0), "negative");
 }
 
+TEST(Controller, NegativeRequestorPanics)
+{
+    // Grants are indexed by requestor id, so a negative id is a bug.
+    Controller mc = makeController();
+    mc.beginTick();
+    EXPECT_DEATH(mc.addDemand(-1, 1.0, false, 0.0), "requestor");
+}
+
 TEST(Controller, BeginTickClearsState)
 {
     Controller mc = makeController();
@@ -178,6 +186,64 @@ TEST(Controller, BeginTickClearsState)
     mc.resolve(1e-4);
     EXPECT_DOUBLE_EQ(mc.totalDelivered(), 0.0);
     EXPECT_DOUBLE_EQ(mc.grant(1).delivered, 0.0);
+}
+
+TEST(Controller, RequestorAbsentFromNextArbitrationReadsDefault)
+{
+    // Grants live in requestor-indexed slots; a requestor that drops
+    // out of the next arbitration must not read its stale slot.
+    Controller mc = makeController();
+    mc.beginTick();
+    mc.addDemand(0, 10.0, false, 0.0);
+    mc.addDemand(7, 20.0, false, 5.0);
+    mc.addDemand(99, 30.0, false, 0.0);
+    mc.resolve(1e-4);
+    ASSERT_GT(mc.grant(99).delivered, 0.0);
+
+    mc.beginTick();
+    mc.addDemand(7, 20.0, false, 5.0);
+    mc.resolve(1e-4);
+    for (int req : {0, 99, 100, 5000}) {
+        Grant g = mc.grant(req);
+        EXPECT_EQ(g.delivered, 0.0) << "requestor " << req;
+        EXPECT_EQ(g.fraction, 1.0) << "requestor " << req;
+        EXPECT_EQ(g.latency, mc.latency()) << "requestor " << req;
+    }
+    EXPECT_DOUBLE_EQ(mc.grant(7).delivered, 20.0);
+}
+
+TEST(Controller, SparseIdsResolveLikeDenseIds)
+{
+    // Requestor ids are only keys: ids 0, 7, 99 must get bitwise the
+    // grants that ids 0, 1, 2 get for the same demands, in both
+    // arbitration modes and with merged flows.
+    for (Arbitration mode :
+         {Arbitration::Fair, Arbitration::RequestPriority}) {
+        Controller sparse = makeController(50.0);
+        Controller dense = makeController(50.0);
+        sparse.setArbitration(mode);
+        dense.setArbitration(mode);
+        const int sparse_ids[] = {0, 7, 99};
+        const double demand[] = {25.0, 18.0, 30.0};
+        sparse.beginTick();
+        dense.beginTick();
+        for (int i = 0; i < 3; ++i) {
+            sparse.addDemand(sparse_ids[i], demand[i], i == 1, 10.0 * i);
+            dense.addDemand(i, demand[i], i == 1, 10.0 * i);
+        }
+        sparse.addDemand(99, 4.0, false, 0.0);
+        dense.addDemand(2, 4.0, false, 0.0);
+        sparse.resolve(1e-4);
+        dense.resolve(1e-4);
+        for (int i = 0; i < 3; ++i) {
+            Grant a = sparse.grant(sparse_ids[i]);
+            Grant b = dense.grant(i);
+            EXPECT_EQ(a.delivered, b.delivered);
+            EXPECT_EQ(a.fraction, b.fraction);
+            EXPECT_EQ(a.latency, b.latency);
+        }
+        EXPECT_EQ(sparse.totalDelivered(), dense.totalDelivered());
+    }
 }
 
 TEST(Controller, CountersAccumulate)

@@ -181,7 +181,8 @@ main(int argc, char **argv)
             man.set("stranded_ratio", cr.strandedRatio());
             man.set("evaluations", cr.evaluations);
             man.set("contract_violations", sim::contractViolations());
-            man.addSamples("node_tail_p95_s", cr.tailSamples);
+            if (!cr.tailSamples.empty())
+                man.addSamples("node_tail_p95_s", cr.tailSamples);
             if (!man.writeJson(clusterManifest))
                 sim::fatal("cannot write manifest to ",
                            clusterManifest);
@@ -267,7 +268,8 @@ main(int argc, char **argv)
             man.set("contract_violations", sim::contractViolations());
             man.set("ml_perf", r.mlPerf);
             man.set("ml_perf_ref", ref.mlPerf);
-            man.set("ml_tail_p95_s", r.mlTailP95);
+            if (s.inferTask)
+                man.set("ml_tail_p95_s", r.mlTailP95);
             man.set("cpu_throughput", r.cpuThroughput);
             man.set("avg_lo_cores", r.avgLoCores);
             man.set("avg_lo_prefetchers", r.avgLoPrefetchers);
@@ -289,6 +291,8 @@ main(int argc, char **argv)
             man.set("mc_cache_hits", r.mcCacheHits);
             man.set("mc_cache_misses", r.mcCacheMisses);
             man.set("mem_fast_ticks", r.memFastTicks);
+            man.set("llc_memo_hits", r.llcMemoHits);
+            man.set("llc_memo_misses", r.llcMemoMisses);
             if (s.inferTask) {
                 man.addHistogram("ml_request_latency_s",
                                  s.inferTask->latency());
@@ -407,11 +411,14 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(r.periodicFires),
                 static_cast<unsigned long long>(r.fastTaskTicks));
     std::printf("  resolve cache  : mem %llu hit / %llu miss, "
-                "mc %llu hit / %llu miss, %llu mem fast ticks\n",
+                "mc %llu hit / %llu miss, llc %llu hit / %llu miss, "
+                "%llu mem fast ticks\n",
                 static_cast<unsigned long long>(r.resolveCacheHits),
                 static_cast<unsigned long long>(r.resolveCacheMisses),
                 static_cast<unsigned long long>(r.mcCacheHits),
                 static_cast<unsigned long long>(r.mcCacheMisses),
+                static_cast<unsigned long long>(r.llcMemoHits),
+                static_cast<unsigned long long>(r.llcMemoMisses),
                 static_cast<unsigned long long>(r.memFastTicks));
     if (opts.getBool("perf")) {
         // kelp: allow(determinism): --perf opts into wall clocks
