@@ -96,57 +96,5 @@ Llc::apportion(const std::vector<LlcRequest> &requests,
     }
 }
 
-namespace {
-
-bool
-sameRequests(const std::vector<LlcRequest> &a,
-             const std::vector<LlcRequest> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-        // Exact comparison on purpose: any drift forces a recompute.
-        if (a[i].group != b[i].group ||
-            a[i].footprintMb != b[i].footprintMb ||
-            a[i].weight != b[i].weight ||
-            a[i].dedicatedWays != b[i].dedicatedWays ||
-            a[i].hitMax != b[i].hitMax) {
-            return false;
-        }
-    }
-    return true;
-}
-
-} // namespace
-
-const std::vector<LlcShare> &
-ApportionCache::get(const Llc &llc,
-                    const std::vector<LlcRequest> &requests)
-{
-    const bool hit = llc.sizeMb() == sizeMb_ && llc.ways() == ways_ &&
-                     sameRequests(requests, key_);
-    if (hit) {
-        ++hits_;
-#ifndef NDEBUG
-        const auto fresh = llc.apportion(requests);
-        KELP_INVARIANT(fresh.size() == value_.size(),
-                       "LLC apportion memo drifted: group set changed");
-        for (size_t i = 0; i < fresh.size(); ++i) {
-            KELP_INVARIANT(value_[i].capacityMb == fresh[i].capacityMb &&
-                               value_[i].hitRate == fresh[i].hitRate,
-                           "LLC apportion memo drifted for group ",
-                           requests[i].group);
-        }
-#endif
-        return value_;
-    }
-    ++misses_;
-    sizeMb_ = llc.sizeMb();
-    ways_ = llc.ways();
-    key_ = requests;
-    llc.apportion(requests, value_, order_);
-    return value_;
-}
-
 } // namespace cpu
 } // namespace kelp

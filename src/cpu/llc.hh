@@ -2,7 +2,8 @@
  * @file
  * Last-level cache with CAT-style way partitioning.
  *
- * The LLC is apportioned among task groups every tick:
+ * The LLC is apportioned among task groups whenever the node
+ * rebuilds its tick shape (a group, task or memory change):
  *  - Groups holding dedicated CAT ways get that capacity exclusively
  *    (this is how all managed configurations shield the ML task from
  *    LLC interference, per Section III-B).
@@ -22,7 +23,6 @@
 #define KELP_CPU_LLC_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "sim/types.hh"
@@ -86,7 +86,7 @@ class Llc
     /**
      * The same apportionment written into caller-owned buffers whose
      * capacity is reused: `out` receives the shares, `order` is
-     * scratch. For per-tick callers that must not allocate.
+     * scratch. For callers that must not allocate.
      */
     void apportion(const std::vector<LlcRequest> &requests,
                    std::vector<LlcShare> &out,
@@ -99,37 +99,6 @@ class Llc
   private:
     double sizeMb_;
     int ways_;
-};
-
-/**
- * One-entry memo for Llc::apportion, keyed on the exact
- * (geometry, request vector) tuple. Task footprints, weights, and CAT
- * masks move on phase boundaries and knob actuations, not every
- * 100 µs tick, so the previous tick's apportionment is usually still
- * the answer. A miss recomputes and restores the key, so the memo can
- * never change a result; debug builds additionally recompute on every
- * hit and KELP_INVARIANT the cached shares against the fresh ones.
- */
-class ApportionCache
-{
-  public:
-    /** Equivalent to llc.apportion(requests) (shares aligned with
-     * the requests); memoised. The returned reference stays valid
-     * until the next get(). */
-    const std::vector<LlcShare> &
-    get(const Llc &llc, const std::vector<LlcRequest> &requests);
-
-    uint64_t hits() const { return hits_; }
-    uint64_t misses() const { return misses_; }
-
-  private:
-    double sizeMb_ = -1.0;
-    int ways_ = 0;
-    std::vector<LlcRequest> key_;
-    std::vector<LlcShare> value_;
-    std::vector<size_t> order_;
-    uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
 };
 
 } // namespace cpu

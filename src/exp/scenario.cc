@@ -547,8 +547,7 @@ measureScenario(Scenario &s, const RunConfig &cfg)
     r.mcCacheHits = s.node->memSystem().mcCacheHits();
     r.mcCacheMisses = s.node->memSystem().mcCacheMisses();
     r.memFastTicks = s.node->memSystem().fastTicks();
-    r.llcMemoHits = s.node->llcMemoHits();
-    r.llcMemoMisses = s.node->llcMemoMisses();
+    r.shapeBuilds = s.node->shapeBuilds();
     return r;
 }
 

@@ -236,8 +236,7 @@ struct RunResult
     uint64_t mcCacheHits = 0;
     uint64_t mcCacheMisses = 0;
     uint64_t memFastTicks = 0;
-    uint64_t llcMemoHits = 0;   ///< LLC apportionment memo hits.
-    uint64_t llcMemoMisses = 0; ///< LLC apportionment memo misses.
+    uint64_t shapeBuilds = 0;   ///< Node tick-shape rebuilds.
 
     /** engineFastTicks / engineTicks (0 when no ticks ran). */
     double skipRatio() const

@@ -1,7 +1,9 @@
 #include "node/node.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "sim/log.hh"
 
@@ -92,26 +94,8 @@ Node::hungriestRunnable(sim::GroupId group)
     return best;
 }
 
-uint64_t
-Node::llcMemoHits() const
-{
-    uint64_t n = 0;
-    for (const auto &c : llcCaches_)
-        n += c.hits();
-    return n;
-}
-
-uint64_t
-Node::llcMemoMisses() const
-{
-    uint64_t n = 0;
-    for (const auto &c : llcCaches_)
-        n += c.misses();
-    return n;
-}
-
 void
-Node::computeCoreShares()
+Node::computeCoreShares(Shape &out)
 {
     pools_.resize(static_cast<size_t>(groups_.size()));
     for (int s = 0; s < topo_.sockets(); ++s) {
@@ -140,31 +124,27 @@ Node::computeCoreShares()
         floating.coresPerSub[0] = floating.cores / 2.0;
         floating.coresPerSub[1] = floating.cores / 2.0;
 
-        for (auto &st : states_) {
-            if (st.task->homeSocket() != s)
+        // Suspended/terminated tasks hold no cores and make no
+        // progress: they keep TaskShape's zero cores and neutral SMT
+        // factor, and their slots return to the pool.
+        for (const auto &t : tasks_) {
+            if (t->homeSocket() != s || !t->runnable())
                 continue;
-            if (!st.task->runnable()) {
-                // Suspended/terminated tasks hold no cores and make
-                // no progress; their slots return to the pool.
-                st.env.effCores = 0.0;
-                st.env.smtFactor = 1.0;
-                st.coresPerSub = {0.0, 0.0};
-                continue;
-            }
-            const auto &g = groups_.get(st.task->group());
+            const auto &g = groups_.get(t->group());
             Pool &pinned = pools_[static_cast<size_t>(g.id())];
             Pool &pool = !g.floating() && pinned.pinned ? pinned
                                                          : floating;
-            pool.threads += st.task->threadsWanted();
-            pool.members.push_back(&st);
+            pool.threads += t->threadsWanted();
+            pool.members.push_back(t->id());
         }
 
-        auto apply = [this](Pool &pool) {
+        auto apply = [this, &out](Pool &pool) {
             if (pool.members.empty())
                 return;
             double smt = topo_.config().smtSiblingFactor;
-            for (auto *st : pool.members) {
-                int n = st->task->threadsWanted();
+            for (int id : pool.members) {
+                TaskShape &ts = out.tasks[static_cast<size_t>(id)];
+                int n = tasks_[static_cast<size_t>(id)]->threadsWanted();
                 // Slots: how many of the task's threads can run at
                 // once (SMT doubles thread capacity). SMT factor: the
                 // per-running-thread throughput penalty from sibling
@@ -185,14 +165,13 @@ Node::computeCoreShares()
                         smt_factor = c_eff / running;
                     }
                 }
-                st->env.effCores = n * slots_frac;
-                st->env.smtFactor = smt_factor;
+                ts.effCores = n * slots_frac;
+                ts.smtFactor = smt_factor;
                 // Split a task's effective cores across subdomains in
                 // proportion to the pool's core placement.
                 for (int d = 0; d < 2; ++d) {
-                    st->coresPerSub[d] = pool.cores > 0.0 ?
-                        st->env.effCores *
-                            (pool.coresPerSub[d] / pool.cores) :
+                    ts.coresPerSub[d] = pool.cores > 0.0 ?
+                        ts.effCores * (pool.coresPerSub[d] / pool.cores) :
                         0.0;
                 }
             }
@@ -206,17 +185,18 @@ Node::computeCoreShares()
 }
 
 void
-Node::computeLlc()
+Node::computeLlc(Shape &out)
 {
-    // Miss ratios are rebuilt from scratch every tick: a task
-    // accumulates one weighted contribution per LLC domain it has
-    // cores in (-1 marks "no contribution yet"). Any task with cores
-    // in some domain has them on its socket, so its profile is read
-    // here once for every domain below.
-    for (auto &st : states_) {
-        st.env.missRatio = -1.0;
-        if (st.coresPerSub[0] + st.coresPerSub[1] > 1e-9)
-            st.llc = st.task->llcProfile();
+    // A task accumulates one weighted miss-ratio contribution per LLC
+    // domain it has cores in (-1 marks "no contribution yet"). Any
+    // task with cores in some domain has them on its socket, so its
+    // profile is read here once for every domain below.
+    llcProfiles_.resize(tasks_.size());
+    for (size_t i = 0; i < tasks_.size(); ++i) {
+        TaskShape &ts = out.tasks[i];
+        ts.missRatio = -1.0;
+        if (ts.coresPerSub[0] + ts.coresPerSub[1] > 1e-9)
+            llcProfiles_[i] = tasks_[i]->llcProfile();
     }
 
     bool snc = mem_.sncEnabled();
@@ -231,60 +211,109 @@ Node::computeLlc()
             // Gather requests from tasks with cores in this domain.
             llcReqs_.clear();
             llcPresent_.clear();
-            for (auto &st : states_) {
-                if (st.task->homeSocket() != s)
+            for (size_t i = 0; i < tasks_.size(); ++i) {
+                const wl::Task &t = *tasks_[i];
+                const TaskShape &ts = out.tasks[i];
+                if (t.homeSocket() != s)
                     continue;
-                double cores = snc ? st.coresPerSub[d] :
-                    st.coresPerSub[0] + st.coresPerSub[1];
+                double cores = snc ? ts.coresPerSub[d] :
+                    ts.coresPerSub[0] + ts.coresPerSub[1];
                 if (cores <= 1e-9)
                     continue;
-                const auto &g = groups_.get(st.task->group());
+                const auto &g = groups_.get(t.group());
+                const wl::HostPhaseParams &p = llcProfiles_[i];
                 cpu::LlcRequest r;
-                r.group = st.task->id();
-                r.footprintMb = st.llc.llcFootprintMb;
-                r.weight = st.llc.llcWeight * cores;
+                r.group = t.id();
+                r.footprintMb = p.llcFootprintMb;
+                r.weight = p.llcWeight * cores;
                 r.dedicatedWays =
                     std::min(g.catWays(), llc.ways() - 1);
-                r.hitMax = st.llc.llcHitMax;
+                r.hitMax = p.llcHitMax;
                 llcReqs_.push_back(r);
-                llcPresent_.push_back(&st);
+                llcPresent_.push_back(t.id());
             }
             if (llcReqs_.empty())
                 continue;
 
-            const auto &shares =
-                llcCaches_[static_cast<size_t>(s * 2 + d)].get(
-                    llc, llcReqs_);
+            llc.apportion(llcReqs_, llcShares_, llcOrder_);
             for (size_t i = 0; i < llcPresent_.size(); ++i) {
-                TaskState *st = llcPresent_[i];
+                const auto id = static_cast<size_t>(llcPresent_[i]);
+                TaskShape &ts = out.tasks[id];
+                const wl::HostPhaseParams &p = llcProfiles_[id];
                 // Standalone reference: the full socket LLC, alone,
                 // SNC off (the paper's normalization baseline).
                 double hit_alone = cpu::Llc::hitRate(
                     topo_.config().llcMbPerSocket,
-                    st->llc.llcFootprintMb, st->llc.llcHitMax);
-                double hit_now = shares[i].hitRate;
+                    p.llcFootprintMb, p.llcHitMax);
+                double hit_now = llcShares_[i].hitRate;
                 double miss_alone = std::max(1.0 - hit_alone, 0.01);
                 double miss_now = std::max(1.0 - hit_now, 0.0);
                 double ratio = miss_now / miss_alone;
                 // Weight by the task's core split across domains so
                 // spanning tasks blend their two domains' ratios.
-                double c0 = st->coresPerSub[0];
-                double c1 = st->coresPerSub[1];
+                double c0 = ts.coresPerSub[0];
+                double c1 = ts.coresPerSub[1];
                 double total = c0 + c1;
                 double w = 1.0;
                 if (snc && total > 0.0)
                     w = (d == 0 ? c0 : c1) / total;
                 double contrib = ratio * w;
-                st->env.missRatio = st->env.missRatio < 0.0 ?
-                    contrib : st->env.missRatio + contrib;
+                ts.missRatio = ts.missRatio < 0.0 ?
+                    contrib : ts.missRatio + contrib;
             }
         }
     }
 
     // Tasks with no cores anywhere keep the neutral ratio.
-    for (auto &st : states_)
-        if (st.env.missRatio < 0.0)
-            st.env.missRatio = 1.0;
+    for (TaskShape &ts : out.tasks)
+        if (ts.missRatio < 0.0)
+            ts.missRatio = 1.0;
+}
+
+void
+Node::buildShape(Shape &out)
+{
+    out.tasks.assign(tasks_.size(), TaskShape{});
+    computeCoreShares(out);
+    computeLlc(out);
+
+    out.live.clear();
+    for (const auto &t : tasks_) {
+        if (!t->runnable())
+            continue;
+        const auto &g = groups_.get(t->group());
+        TaskShape &ts = out.tasks[static_cast<size_t>(t->id())];
+        ts.socket = t->homeSocket();
+        ts.pfFraction = g.floating() ? 1.0 : g.prefetcherFraction();
+        ts.baseLatencyNs = mem_.baseLatency();
+        ts.high = g.priority() == hal::Priority::High;
+        ts.throttleExempt = priorityAwareBackpressure_ && ts.high;
+        out.live.push_back(t->id());
+    }
+}
+
+void
+Node::rebuildShape()
+{
+    buildShape(shape_);
+    shapeDirty_ = false;
+    ++shapeBuilds_;
+    // Non-runnable tasks keep their last routing constants in
+    // lastEnv(); they submit no demand until they run again.
+    for (size_t i = 0; i < states_.size(); ++i) {
+        TaskState &st = states_[i];
+        const TaskShape &ts = shape_.tasks[i];
+        st.env.effCores = ts.effCores;
+        st.env.smtFactor = ts.smtFactor;
+        st.env.missRatio = ts.missRatio;
+        if (!st.task->runnable()) {
+            st.lastDemand = 0.0;
+            continue;
+        }
+        st.env.socket = ts.socket;
+        st.env.pfFraction = ts.pfFraction;
+        st.env.baseLatencyNs = ts.baseLatencyNs;
+    }
 }
 
 void
@@ -299,20 +328,10 @@ Node::resolveAndAdvance(sim::Time dt)
     mem_.beginTick();
 
     // Pass 1: collect and route demands.
-    for (auto &st : states_) {
-        if (!st.task->runnable()) {
-            st.lastDemand = 0.0;
-            continue;
-        }
-        const auto &g = groups_.get(st.task->group());
-        st.env.socket = st.task->homeSocket();
-        st.env.pfFraction = g.floating() ? 1.0 : g.prefetcherFraction();
-        st.env.throttle = throttle[st.env.socket];
-        if (priorityAwareBackpressure_ &&
-            g.priority() == hal::Priority::High) {
-            st.env.throttle = 1.0;
-        }
-        st.env.baseLatencyNs = mem_.baseLatency();
+    for (int id : shape_.live) {
+        TaskState &st = states_[static_cast<size_t>(id)];
+        const TaskShape &ts = shape_.tasks[static_cast<size_t>(id)];
+        st.env.throttle = ts.throttleExempt ? 1.0 : throttle[ts.socket];
 
         sim::GiBps demand = st.task->bwDemand(st.env);
         ++demandCalls_;
@@ -320,36 +339,33 @@ Node::resolveAndAdvance(sim::Time dt)
         if (demand <= 0.0)
             continue;
 
-        bool hi = g.priority() == hal::Priority::High;
-        sim::SocketId home = st.task->homeSocket();
+        sim::SocketId home = ts.socket;
         if (!st.task->dataPlacement().empty()) {
             // Explicit placement (Remote-DRAM experiments). The
             // requesting subdomain is where most of its cores sit.
             sim::SubdomainId req_sub =
-                st.coresPerSub[1] > st.coresPerSub[0] ? 1 : 0;
+                ts.coresPerSub[1] > ts.coresPerSub[0] ? 1 : 0;
             for (const auto &share : st.task->dataPlacement()) {
                 mem::Route route{home, req_sub, share.socket,
                                  share.subdomain};
-                mem_.addFlow(st.task->id(), route,
-                             demand * share.fraction, hi);
+                mem_.addFlow(id, route, demand * share.fraction,
+                             ts.high);
             }
         } else {
             // Local allocation: data lives where the cores are.
-            double c0 = st.coresPerSub[0];
-            double c1 = st.coresPerSub[1];
+            double c0 = ts.coresPerSub[0];
+            double c1 = ts.coresPerSub[1];
             double total = c0 + c1;
             if (total <= 1e-12) {
                 continue;
             }
             if (c0 > 1e-12) {
-                mem_.addFlow(st.task->id(),
-                             {home, 0, home, 0}, demand * c0 / total,
-                             hi);
+                mem_.addFlow(id, {home, 0, home, 0},
+                             demand * c0 / total, ts.high);
             }
             if (c1 > 1e-12) {
-                mem_.addFlow(st.task->id(),
-                             {home, 1, home, 1}, demand * c1 / total,
-                             hi);
+                mem_.addFlow(id, {home, 1, home, 1},
+                             demand * c1 / total, ts.high);
             }
         }
     }
@@ -358,10 +374,9 @@ Node::resolveAndAdvance(sim::Time dt)
 
     // Pass 2: advance with post-resolve environments. Non-runnable
     // tasks are frozen: no progress, no demand-basis updates.
-    for (auto &st : states_) {
-        if (!st.task->runnable())
-            continue;
-        mem::Grant grant = mem_.grant(st.task->id());
+    for (int id : shape_.live) {
+        TaskState &st = states_[static_cast<size_t>(id)];
+        mem::Grant grant = mem_.grant(id);
         st.env.latencyNs = grant.latency;
         st.env.bwFraction = grant.fraction;
         st.task->advance(dt, st.env);
@@ -373,8 +388,13 @@ void
 Node::tick(sim::Time now, sim::Time dt)
 {
     (void)now;
-    computeCoreShares();
-    computeLlc();
+    if (shapeDirty_) {
+        rebuildShape();
+    } else {
+#ifndef NDEBUG
+        verifyShape();
+#endif
+    }
     resolveAndAdvance(dt);
 
     // Quiescence tracking: a tick is quiet when nothing marked the
@@ -394,9 +414,8 @@ Node::tick(sim::Time now, sim::Time dt)
 bool
 Node::tryPrepareFast(sim::Time dt)
 {
-    for (auto &st : states_) {
-        if (!st.task->runnable())
-            continue;
+    for (int id : shape_.live) {
+        TaskState &st = states_[static_cast<size_t>(id)];
         if (!st.task->fastPrepare(st.env, dt))
             return false;
         // A stage transition inside the last advance() can move this
@@ -416,8 +435,9 @@ Node::fastForward(sim::Time now, sim::Time dt, uint64_t max_ticks)
     (void)now;
     // Two quiet ticks are required, not one: a resolve hit at tick N
     // proves tick N repeated N-1, which pins the throttle (computed
-    // from N-1's distress state) for N+1 as well.
-    if (!eventDriven_ || dirty_ || quietStreak_ < 2)
+    // from N-1's distress state) for N+1 as well. A change made
+    // inside the last tick's advance() leaves only the shape dirty.
+    if (!eventDriven_ || dirty_ || shapeDirty_ || quietStreak_ < 2)
         return 0;
     if (!fastReady_ && !tryPrepareFast(dt))
         return 0;
@@ -429,24 +449,19 @@ Node::fastForward(sim::Time now, sim::Time dt, uint64_t max_ticks)
         // kernels, one op chain per tick instead of two virtual
         // dispatches per task per tick.
         uint64_t h = max_ticks - done;
-        uint64_t runnables = 0;
-        for (auto &st : states_) {
-            if (!st.task->runnable())
-                continue;
-            ++runnables;
-            h = std::min(h, st.task->fastHorizon(dt));
+        for (int id : shape_.live) {
+            h = std::min(h, tasks_[static_cast<size_t>(id)]
+                                ->fastHorizon(dt));
             if (h == 0)
                 break;
         }
         if (h > 0) {
 #ifndef NDEBUG
-            verifyQuiescent(dt);
+            verifyQuiescent();
 #endif
-            for (auto &st : states_) {
-                if (st.task->runnable())
-                    st.task->fastTickRunMany(dt, h);
-            }
-            fastTaskTicks_ += h * runnables;
+            for (int id : shape_.live)
+                tasks_[static_cast<size_t>(id)]->fastTickRunMany(dt, h);
+            fastTaskTicks_ += h * shape_.live.size();
             done += h;
             continue;
         }
@@ -457,8 +472,8 @@ Node::fastForward(sim::Time now, sim::Time dt, uint64_t max_ticks)
         // tick before anything mutates, so a refusal leaves the
         // model exactly at a full-tick boundary.
         bool ready = true;
-        for (auto &st : states_) {
-            if (st.task->runnable() && !st.task->fastTickReady(dt)) {
+        for (int id : shape_.live) {
+            if (!tasks_[static_cast<size_t>(id)]->fastTickReady(dt)) {
                 ready = false;
                 break;
             }
@@ -466,22 +481,21 @@ Node::fastForward(sim::Time now, sim::Time dt, uint64_t max_ticks)
         if (!ready)
             break;
 #ifndef NDEBUG
-        verifyQuiescent(dt);
+        verifyQuiescent();
 #endif
         // Phase 2: apply the cached kernels.
         bool keep = true;
-        for (auto &st : states_) {
-            if (!st.task->runnable())
-                continue;
-            if (!st.task->fastTickRun(dt))
+        for (int id : shape_.live) {
+            if (!tasks_[static_cast<size_t>(id)]->fastTickRun(dt))
                 keep = false;
-            ++fastTaskTicks_;
         }
+        fastTaskTicks_ += shape_.live.size();
         ++done;
         if (!keep) {
             // A task crossed an internal edge; fall back to full
-            // ticks so next tick's demand is recomputed.
-            markDirty();
+            // ticks so next tick's demand is recomputed. The shape
+            // does not depend on task-internal state and stays.
+            breakQuiescence();
             break;
         }
     }
@@ -492,46 +506,83 @@ Node::fastForward(sim::Time now, sim::Time dt, uint64_t max_ticks)
     return done;
 }
 
-void
-Node::verifyQuiescent(sim::Time dt)
-{
-    (void)dt;
-    // Recompute the whole pre-resolve pipeline and prove the cached
-    // environments are bitwise fixed points. The recomputation is
-    // idempotent: with no state changes it writes back exactly the
-    // values already present.
-    std::vector<wl::ExecEnv> cached;
-    cached.reserve(states_.size());
-    for (const auto &st : states_)
-        cached.push_back(st.env);
+namespace {
 
-    computeCoreShares();
-    computeLlc();
+/** Bitwise equality: unlike ==, tells -0.0 from 0.0 and matches NaN
+ * payloads. */
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+} // namespace
+
+void
+Node::verifyShape()
+{
+    // Rebuilding into a copy leaves the node untouched, so the check
+    // cannot steer the run it checks.
+    buildShape(shapeCheck_);
+    KELP_INVARIANT(shapeCheck_.live == shape_.live &&
+                       shapeCheck_.tasks.size() == shape_.tasks.size(),
+                   "shape drifted: the runnable set changed without "
+                   "markDirty()");
+    for (size_t i = 0; i < shape_.tasks.size(); ++i) {
+        const TaskShape &a = shape_.tasks[i];
+        const TaskShape &b = shapeCheck_.tasks[i];
+        KELP_INVARIANT(sameBits(a.effCores, b.effCores) &&
+                           sameBits(a.smtFactor, b.smtFactor) &&
+                           sameBits(a.missRatio, b.missRatio) &&
+                           sameBits(a.coresPerSub[0], b.coresPerSub[0]) &&
+                           sameBits(a.coresPerSub[1], b.coresPerSub[1]),
+                       "shape core/LLC state drifted for task '",
+                       tasks_[i]->name(), "'");
+        KELP_INVARIANT(a.socket == b.socket &&
+                           sameBits(a.pfFraction, b.pfFraction) &&
+                           sameBits(a.baseLatencyNs, b.baseLatencyNs) &&
+                           a.high == b.high &&
+                           a.throttleExempt == b.throttleExempt,
+                       "shape routing state drifted for task '",
+                       tasks_[i]->name(), "'");
+        const wl::ExecEnv &env = states_[i].env;
+        KELP_INVARIANT(sameBits(env.effCores, a.effCores) &&
+                           sameBits(env.smtFactor, a.smtFactor) &&
+                           sameBits(env.missRatio, a.missRatio),
+                       "environment of task '", tasks_[i]->name(),
+                       "' left its shape");
+    }
+    for (int id : shape_.live) {
+        const TaskShape &a = shape_.tasks[static_cast<size_t>(id)];
+        const wl::ExecEnv &env = states_[static_cast<size_t>(id)].env;
+        KELP_INVARIANT(env.socket == a.socket &&
+                           sameBits(env.pfFraction, a.pfFraction) &&
+                           sameBits(env.baseLatencyNs, a.baseLatencyNs),
+                       "routing environment of task '",
+                       tasks_[static_cast<size_t>(id)]->name(),
+                       "' left its shape");
+    }
+}
+
+void
+Node::verifyQuiescent()
+{
+    // The shape's own check covers cores, LLC and routing; what a
+    // fast-forwarded chunk adds is that the throttles and demands
+    // are fixed points too.
+    verifyShape();
 
     std::array<double, 2> throttle = {1.0, 1.0};
     for (int s = 0; s < mem_.numSockets(); ++s)
         throttle[s] = mem_.coreThrottle(s);
 
-    for (size_t i = 0; i < states_.size(); ++i) {
-        auto &st = states_[i];
-        if (!st.task->runnable())
-            continue;
-        const wl::ExecEnv &c = cached[i];
-        KELP_INVARIANT(st.env.effCores == c.effCores &&
-                           st.env.smtFactor == c.smtFactor &&
-                           st.env.missRatio == c.missRatio,
-                       "fast-forward core/LLC state drifted for "
-                       "task '", st.task->name(), "'");
-        const auto &g = groups_.get(st.task->group());
-        double pf = g.floating() ? 1.0 : g.prefetcherFraction();
-        double th = throttle[st.task->homeSocket()];
-        if (priorityAwareBackpressure_ &&
-            g.priority() == hal::Priority::High) {
-            th = 1.0;
-        }
-        KELP_INVARIANT(c.pfFraction == pf && c.throttle == th,
-                       "fast-forward knob/throttle state drifted "
-                       "for task '", st.task->name(), "'");
+    for (int id : shape_.live) {
+        TaskState &st = states_[static_cast<size_t>(id)];
+        const TaskShape &ts = shape_.tasks[static_cast<size_t>(id)];
+        double th = ts.throttleExempt ? 1.0 : throttle[ts.socket];
+        KELP_INVARIANT(st.env.throttle == th,
+                       "fast-forward throttle state drifted for task '",
+                       st.task->name(), "'");
         KELP_INVARIANT(std::max(st.task->bwDemand(st.env), 0.0) ==
                            st.lastDemand,
                        "fast-forward demand drifted for task '",

@@ -3,19 +3,25 @@
  * Node: a complete accelerated server, and the per-tick orchestration
  * that couples tasks to the hardware models.
  *
- * Every tick the node:
- *  1. Builds core pools per socket (pinned groups own their masked
- *     cores; floating groups share the rest) and computes each task's
- *     effective cores, folding in fair sharing and SMT capacity.
- *  2. Apportions each LLC domain (socket-wide, or per-subdomain when
- *     SNC is on) among the tasks present and derives per-task LLC
- *     miss ratios relative to their standalone hit rates.
- *  3. Reads the previous tick's distress throttles, collects per-task
- *     bandwidth demands, and routes them: explicit data placements
- *     (Remote-DRAM experiments) or local-allocation splits across the
- *     subdomains where the task holds cores.
- *  4. Resolves the memory system and advances every task with its
- *     post-resolve environment.
+ * The tick's *shape* -- everything its pre-resolve pipeline derives
+ * from inputs that move only through markDirty() -- is built once per
+ * change and reused by every later tick:
+ *  1. Core pools per socket (pinned groups own their masked cores;
+ *     floating groups share the rest) and each task's effective
+ *     cores, folding in fair sharing and SMT capacity.
+ *  2. Each LLC domain's apportionment (socket-wide, or per-subdomain
+ *     when SNC is on) among the tasks present, and per-task LLC miss
+ *     ratios relative to their standalone hit rates.
+ *  3. The runnable list with each task's routing constants: socket,
+ *     prefetcher fraction, base latency, priority bit and distress
+ *     throttle exemption.
+ *
+ * Every tick the node then reads the previous tick's distress
+ * throttles, collects the runnable tasks' bandwidth demands, routes
+ * them (explicit data placements for Remote-DRAM experiments, else
+ * local-allocation splits across the subdomains where the task holds
+ * cores), resolves the memory system and advances every runnable
+ * task with its post-resolve environment.
  */
 
 #ifndef KELP_NODE_NODE_HH
@@ -144,13 +150,13 @@ class Node
     uint64_t fastForward(sim::Time now, sim::Time dt,
                          uint64_t max_ticks);
 
-    /** Invalidate quiescence (knob writes, lifecycle changes, task
-     * arrivals, config flips all funnel here via change hooks). */
+    /** Invalidate the shape and quiescence (knob writes, lifecycle
+     * changes, task arrivals, config flips all funnel here via change
+     * hooks). The next tick rebuilds the shape. */
     void markDirty()
     {
-        dirty_ = true;
-        fastReady_ = false;
-        quietStreak_ = 0;
+        shapeDirty_ = true;
+        breakQuiescence();
     }
 
     /** Per-task bwDemand() calls made by the full tick path. */
@@ -162,22 +168,50 @@ class Node
     /** Task-ticks consumed through the fast path. */
     uint64_t fastTaskTicks() const { return fastTaskTicks_; }
 
-    /** LLC apportionment memo hits/misses, summed over domains. */
-    uint64_t llcMemoHits() const;
-    uint64_t llcMemoMisses() const;
+    /** Shape rebuilds: one per tick that followed a markDirty(). */
+    uint64_t shapeBuilds() const { return shapeBuilds_; }
 
   private:
     struct TaskState
     {
         wl::Task *task = nullptr;
         wl::ExecEnv env;
-        /** Effective cores per subdomain of the home socket. */
-        std::array<double, 2> coresPerSub = {0.0, 0.0};
         /** Bandwidth demand submitted on the last tick, GiB/s. */
         double lastDemand = 0.0;
-        /** This tick's llcProfile(), fetched once by computeLlc for
-         * tasks holding cores. */
-        wl::HostPhaseParams llc;
+    };
+
+    /** One task's slice of the shape. */
+    struct TaskShape
+    {
+        double effCores = 0.0;
+        double smtFactor = 1.0;
+        double missRatio = 1.0;
+        /** Effective cores per subdomain of the home socket. */
+        std::array<double, 2> coresPerSub = {0.0, 0.0};
+        /** Routing constants, set for runnable tasks only. */
+        sim::SocketId socket = 0;
+        double pfFraction = 1.0;
+        sim::Nanoseconds baseLatencyNs = 0.0;
+        /** High-priority group: the flows' request-priority bit. */
+        bool high = false;
+        /** Exempt from the distress throttle (priority-aware
+         * backpressure on a high-priority group). */
+        bool throttleExempt = false;
+    };
+
+    /**
+     * What the pre-resolve pipeline derives from the groups, the
+     * memory configuration and each task's lifecycle, home socket,
+     * threads, data placement and LLC profile. None of these move
+     * without markDirty(), so the shape is rebuilt only on the tick
+     * after one; the throttle is the one per-tick input left.
+     */
+    struct Shape
+    {
+        /** Indexed by task id. */
+        std::vector<TaskShape> tasks;
+        /** Ids of the runnable tasks, ascending. */
+        std::vector<int> live;
     };
 
     /** A set of tasks sharing a set of cores: one per pinned group
@@ -189,16 +223,30 @@ class Node
         double cores = 0.0;
         std::array<double, 2> coresPerSub = {0.0, 0.0};
         int threads = 0;
-        std::vector<TaskState *> members;
+        std::vector<int> members;
     };
 
-    /** Phase 1: pools, effective cores, SMT. */
-    void computeCoreShares();
+    /** Clear the fast path's proof of quiescence; the shape stays. */
+    void breakQuiescence()
+    {
+        dirty_ = true;
+        fastReady_ = false;
+        quietStreak_ = 0;
+    }
 
-    /** Phase 2: LLC apportionment and miss ratios. */
-    void computeLlc();
+    /** Build the shape from the current inputs into `out`. */
+    void buildShape(Shape &out);
 
-    /** Phase 3+4: demands, memory resolution, task advancement. */
+    /** Shape part 1: pools, effective cores, SMT. */
+    void computeCoreShares(Shape &out);
+
+    /** Shape part 2: LLC apportionment and miss ratios. */
+    void computeLlc(Shape &out);
+
+    /** Rebuild shape_ and copy it into the task environments. */
+    void rebuildShape();
+
+    /** Demands, memory resolution, task advancement. */
     void resolveAndAdvance(sim::Time dt);
 
     /** Ask every runnable task to cache its quiescent-tick kernel
@@ -206,9 +254,14 @@ class Node
      * and their demands still match what the resolve cache saw. */
     bool tryPrepareFast(sim::Time dt);
 
-    /** Debug cross-check: recompute the full pre-resolve pipeline
-     * and KELP_INVARIANT it against the cached environments. */
-    void verifyQuiescent(sim::Time dt);
+    /** Debug cross-check, the one site for the shape: rebuild it into
+     * a copy and KELP_INVARIANT bitwise equality with shape_ and with
+     * the environments it was copied into. */
+    void verifyShape();
+
+    /** Debug cross-check of a fast-forwarded chunk: verifyShape()
+     * plus the throttles and demands the chunk repeats. */
+    void verifyQuiescent();
 
     PlatformSpec spec_;
     cpu::Topology topo_;
@@ -220,6 +273,12 @@ class Node
     std::vector<std::unique_ptr<wl::Task>> tasks_;
     std::vector<TaskState> states_;
     bool priorityAwareBackpressure_ = false;
+
+    /** The tick's shape; shapeDirty_ is raised by markDirty() and
+     * cleared by the rebuild at the start of the next tick. */
+    Shape shape_;
+    bool shapeDirty_ = true;
+    uint64_t shapeBuilds_ = 0;
 
     /** Event-driven engine state. dirty_ is raised by any change
      * hook; quietStreak_ counts consecutive full ticks that were
@@ -233,18 +292,20 @@ class Node
     uint64_t advanceCalls_ = 0;
     uint64_t fastTaskTicks_ = 0;
 
-    /** Per-(socket, domain) apportionment memos (2 sockets x 2
-     * domains; the non-SNC case uses domain 0 only). */
-    std::array<cpu::ApportionCache, 4> llcCaches_;
-
-    /** Per-tick scratch, reused so a steady-state full tick
-     * allocates nothing: core pools indexed by group id plus the
-     * floating pool, and one LLC domain's requests with the states
-     * they came from (aligned). */
+    /** Shape-build scratch, reused so a rebuild allocates nothing
+     * once the task count is stable: core pools indexed by group id
+     * plus the floating pool, each task's llcProfile() (read once per
+     * build), one LLC domain's requests with the task ids they came
+     * from and the shares they received (aligned), and the debug
+     * cross-check's copy of the shape. */
     std::vector<Pool> pools_;
     Pool floatingPool_;
+    std::vector<wl::HostPhaseParams> llcProfiles_;
     std::vector<cpu::LlcRequest> llcReqs_;
-    std::vector<TaskState *> llcPresent_;
+    std::vector<int> llcPresent_;
+    std::vector<cpu::LlcShare> llcShares_;
+    std::vector<size_t> llcOrder_;
+    Shape shapeCheck_;
 };
 
 } // namespace node

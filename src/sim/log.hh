@@ -38,7 +38,7 @@ std::string
 format(Args &&...args)
 {
     std::ostringstream os;
-    (os << ... << args);
+    ((os << args), ...);
     return os.str();
 }
 

@@ -53,7 +53,7 @@ MlInferTask::fastPrepare(const ExecEnv &env, sim::Time dt)
     // Only the fully-idle server has a fast kernel: a closed loop
     // re-arms itself instantly and never idles, and any queued or
     // in-flight request makes intra-tick event processing necessary.
-    return !cfg_.closedLoop && queue_.empty() && inFlight_.empty();
+    return !cfg_.closedLoop && queued() == 0 && inFlight_.empty();
 }
 
 bool
@@ -154,13 +154,23 @@ void
 MlInferTask::admitFromQueue()
 {
     while (static_cast<int>(inFlight_.size()) < cfg_.pipelineDepth &&
-           !queue_.empty()) {
+           queued() > 0) {
         Request r;
-        r.arrival = queue_.front();
-        queue_.pop_front();
+        r.arrival = queue_[queueHead_++];
         r.remaining = segmentOf(r).duration;
         r.segmentStart = now_;
         inFlight_.push_back(r);
+    }
+    // Drop the admitted prefix: at once when the queue drained, else
+    // when it fills half the storage, which keeps a long backlog's
+    // compaction amortised O(1) per request.
+    if (queueHead_ == queue_.size()) {
+        queue_.clear();
+        queueHead_ = 0;
+    } else if (2 * queueHead_ >= queue_.size()) {
+        queue_.erase(queue_.begin(),
+                     queue_.begin() + static_cast<long>(queueHead_));
+        queueHead_ = 0;
     }
 }
 
@@ -212,7 +222,7 @@ MlInferTask::advance(sim::Time dt, const ExecEnv &env)
         } else {
             // Closed loop: keep exactly pipelineDepth requests in
             // flight; a fresh one arrives the moment a slot frees.
-            while (static_cast<int>(inFlight_.size() + queue_.size()) <
+            while (static_cast<int>(inFlight_.size() + queued()) <
                    cfg_.pipelineDepth) {
                 queue_.push_back(now_);
             }
@@ -226,7 +236,8 @@ MlInferTask::advance(sim::Time dt, const ExecEnv &env)
                 ++host_active;
 
         bool accel_taken = false, pcie_taken = false;
-        std::vector<double> speed(inFlight_.size(), 0.0);
+        std::vector<double> &speed = speedScratch_;
+        speed.assign(inFlight_.size(), 0.0);
         for (size_t i = 0; i < inFlight_.size(); ++i) {
             const auto &seg = segmentOf(inFlight_[i]);
             switch (seg.kind) {

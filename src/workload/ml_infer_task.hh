@@ -23,8 +23,8 @@
 #ifndef KELP_WORKLOAD_ML_INFER_TASK_HH
 #define KELP_WORKLOAD_ML_INFER_TASK_HH
 
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "accel/accelerator.hh"
 #include "sim/rng.hh"
@@ -108,7 +108,7 @@ class MlInferTask : public Task
     uint64_t completed() const { return completed_; }
 
     /** Requests currently queued (not yet admitted). */
-    size_t queued() const { return queue_.size(); }
+    size_t queued() const { return queue_.size() - queueHead_; }
 
     /** Requests currently in service (admitted, not yet retired). */
     size_t inService() const { return inFlight_.size(); }
@@ -164,8 +164,16 @@ class MlInferTask : public Task
 
     sim::Time now_ = 0.0;
     sim::Time nextArrival_ = 0.0;
-    std::deque<sim::Time> queue_;
+    /** Arrival times awaiting admission, oldest first from
+     * queueHead_ on: a FIFO over a reused vector (a deque allocates a
+     * block every few dozen requests), so steady traffic allocates
+     * nothing. admitFromQueue() drops the admitted prefix. */
+    std::vector<sim::Time> queue_;
+    size_t queueHead_ = 0;
     std::vector<Request> inFlight_;
+    /** advance()'s per-request speeds, reused across event-loop
+     * passes and ticks so a full tick allocates nothing. */
+    std::vector<double> speedScratch_;
     uint64_t completed_ = 0;
     sim::LatencyHistogram latency_;
     std::function<void(const TraceEvent &)> traceSink_;

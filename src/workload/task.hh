@@ -11,6 +11,12 @@
  *     advances its phase/step state using the post-resolve environment
  *     (effective latency, granted bandwidth fraction, throttle).
  *
+ * The node builds its tick shape (core shares, LLC apportionment,
+ * routing) from llcProfile(), threadsWanted(), homeSocket(),
+ * dataPlacement() and the lifecycle state, and rebuilds it only after
+ * a change notification. So each of these may change only together
+ * with noteChange(); the setters here and in the subclasses do so.
+ *
  * hostSpeed() encodes the shared performance model: how a host phase's
  * execution speed responds to the environment. It is the single place
  * where latency, bandwidth, prefetcher, SMT, and distress effects
@@ -174,7 +180,8 @@ class Task
     int id() const { return id_; }
     void setId(int id) { id_ = id; }
 
-    /** Socket this task's threads run on. */
+    /** Socket this task's threads run on. Changes only through
+     * setHomeSocket(), which calls noteChange(). */
     sim::SocketId homeSocket() const { return homeSocket_; }
     void
     setHomeSocket(sim::SocketId s)
@@ -186,6 +193,8 @@ class Task
     /**
      * Explicit data placement. Empty means "allocate local": demand is
      * split across the subdomains in proportion to the group's cores.
+     * Changes only through setDataPlacement(), which calls
+     * noteChange().
      */
     const std::vector<DataShare> &dataPlacement() const
     {
@@ -193,7 +202,9 @@ class Task
     }
     void setDataPlacement(std::vector<DataShare> placement);
 
-    /** Number of software threads the task wants to run. */
+    /** Number of software threads the task wants to run. An
+     * override may change its answer only together with
+     * noteChange(). */
     virtual int threadsWanted() const = 0;
 
     /** Pass 1: bandwidth demand for this tick, GiB/s. */
@@ -205,7 +216,10 @@ class Task
     /** Cumulative completed work (task-specific units). */
     virtual double completedWork() const = 0;
 
-    /** Host-phase LLC characteristics for apportionment. */
+    /** Host-phase LLC characteristics for apportionment. An override
+     * may change its answer only together with noteChange(): the
+     * node apportions the LLC when it rebuilds its shape, not every
+     * tick. */
     virtual HostPhaseParams llcProfile() const = 0;
 
     /** Smoothed achieved relative speed (demand feedback basis). */
@@ -214,7 +228,7 @@ class Task
     /**
      * Hook fired whenever externally-visible task state mutates
      * (lifecycle, placement, threads, request submission). The node
-     * uses it to invalidate its quiescence state.
+     * uses it to invalidate its shape and its quiescence state.
      */
     void setChangeHook(std::function<void()> hook)
     {
@@ -300,7 +314,9 @@ class Task
                demandBasis_;
     }
 
-    /** Notify the owning node that task state changed. */
+    /** Notify the owning node that task state changed. Required with
+     * every change to an input of the node's shape (see the file
+     * comment). */
     void noteChange()
     {
         if (changeHook_)

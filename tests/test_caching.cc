@@ -1,17 +1,15 @@
 /**
  * @file
- * Equivalence tests for the hot-path caches: the MemSystem resolve
- * cache and the LLC apportionment memo must be observationally
- * invisible -- a cached instance driven through an arbitrary flow
- * history must report bit-identical grants, counters, and shares to
- * an uncached one, while actually hitting.
+ * Equivalence tests for the MemSystem resolve cache: it must be
+ * observationally invisible -- a cached instance driven through an
+ * arbitrary flow history must report bit-identical grants and
+ * counters to an uncached one, while actually hitting.
  */
 
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "cpu/llc.hh"
 #include "mem/mem_system.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
@@ -238,60 +236,4 @@ TEST(ResolveCache, SparseRequestorIdsMatchDense)
     }
     EXPECT_GT(sparse.resolveCacheHits(), 0u);
     EXPECT_EQ(sparse.resolveCacheHits(), dense.resolveCacheHits());
-}
-
-TEST(ApportionCache, MemoMatchesFreshApportionment)
-{
-    cpu::Llc llc(32.0, 12);
-    cpu::ApportionCache memo;
-    sim::Rng rng(7);
-
-    std::vector<cpu::LlcRequest> reqs;
-    for (int iter = 0; iter < 200; ++iter) {
-        if (reqs.empty() || rng.uniform() < 0.4) {
-            reqs.clear();
-            int n = 1 + static_cast<int>(rng.below(3));
-            for (int g = 0; g < n; ++g) {
-                cpu::LlcRequest r;
-                r.group = g;
-                r.footprintMb = rng.uniform(1.0, 64.0);
-                r.weight = rng.uniform(0.5, 4.0);
-                r.dedicatedWays =
-                    static_cast<int>(rng.below(5));
-                r.hitMax = rng.uniform(0.5, 0.99);
-                reqs.push_back(r);
-            }
-        }
-        const auto &got = memo.get(llc, reqs);
-        const auto fresh = llc.apportion(reqs);
-        ASSERT_EQ(got.size(), fresh.size());
-        for (size_t i = 0; i < fresh.size(); ++i) {
-            EXPECT_EQ(got[i].capacityMb, fresh[i].capacityMb);
-            EXPECT_EQ(got[i].hitRate, fresh[i].hitRate);
-        }
-    }
-    EXPECT_GT(memo.hits(), 0u);
-    EXPECT_GT(memo.misses(), 0u);
-}
-
-TEST(ApportionCache, GeometryChangeMisses)
-{
-    cpu::Llc small(16.0, 8);
-    cpu::Llc large(32.0, 12);
-    cpu::ApportionCache memo;
-    std::vector<cpu::LlcRequest> reqs(1);
-    reqs[0].group = 1;
-    reqs[0].footprintMb = 8.0;
-
-    memo.get(small, reqs);
-    memo.get(small, reqs);
-    EXPECT_EQ(memo.hits(), 1u);
-
-    // Same requests against a different cache geometry must miss and
-    // return the new geometry's shares.
-    const auto &got = memo.get(large, reqs);
-    EXPECT_EQ(memo.misses(), 2u);
-    const auto fresh = large.apportion(reqs);
-    EXPECT_EQ(got.at(0).capacityMb, fresh.at(0).capacityMb);
-    EXPECT_EQ(got.at(0).hitRate, fresh.at(0).hitRate);
 }

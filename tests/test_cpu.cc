@@ -9,6 +9,7 @@
 #include "cpu/llc.hh"
 #include "cpu/prefetcher.hh"
 #include "cpu/topology.hh"
+#include "sim/rng.hh"
 
 using namespace kelp;
 using namespace kelp::cpu;
@@ -118,6 +119,37 @@ TEST(Llc, PermutedRequestsAlignShares)
         ++permutations;
     } while (std::next_permutation(perm.begin(), perm.end()));
     EXPECT_EQ(permutations, 24);
+}
+
+TEST(Llc, InPlaceApportionMatchesFreshOverReusedBuffers)
+{
+    // The node rebuilds its shape through the in-place overload with
+    // the same buffers every time; shrinking and growing request sets
+    // must leave nothing of an earlier call behind.
+    Llc llc(32.0, 12);
+    sim::Rng rng(7);
+    std::vector<LlcShare> out;
+    std::vector<size_t> order;
+    for (int iter = 0; iter < 200; ++iter) {
+        std::vector<LlcRequest> reqs;
+        int n = 1 + static_cast<int>(rng.below(4));
+        for (int g = 0; g < n; ++g) {
+            LlcRequest r;
+            r.group = g;
+            r.footprintMb = rng.uniform(1.0, 64.0);
+            r.weight = rng.uniform(0.5, 4.0);
+            r.dedicatedWays = static_cast<int>(rng.below(3));
+            r.hitMax = rng.uniform(0.5, 0.99);
+            reqs.push_back(r);
+        }
+        llc.apportion(reqs, out, order);
+        const auto fresh = llc.apportion(reqs);
+        ASSERT_EQ(out.size(), fresh.size());
+        for (size_t i = 0; i < fresh.size(); ++i) {
+            EXPECT_EQ(out[i].capacityMb, fresh[i].capacityMb);
+            EXPECT_EQ(out[i].hitRate, fresh[i].hitRate);
+        }
+    }
 }
 
 TEST(Llc, SingleGroupGetsEverything)

@@ -14,6 +14,7 @@
 
 #include "exp/scenario.hh"
 #include "node/node.hh"
+#include "workload/catalog.hh"
 
 namespace {
 
@@ -64,22 +65,33 @@ TEST(NodeAlloc, SteadyFullTickAllocatesNothing)
     GTEST_SKIP() << "debug cross-checks copy grants and shares on "
                     "every cache hit";
 #endif
-    // Training ML + batch tasks under KP: every controller and both
-    // core-pool kinds, with the event-driven path off so every tick
-    // runs the full pipeline.
-    exp::RunConfig cfg;
-    cfg.ml = wl::MlWorkload::Cnn1;
-    cfg.cpu = wl::CpuWorkload::Stitch;
-    cfg.cpuInstances = 3;
-    cfg.config = exp::ConfigKind::KP;
-    cfg.eventDriven = false;
-    exp::Scenario s = exp::buildScenario(cfg);
-    s.engine->run(0.05);
+    // Training and inference ML + batch tasks under KP: every
+    // controller and both core-pool kinds, with the event-driven path
+    // off so every tick runs the full pipeline.
+    for (wl::MlWorkload ml : {wl::MlWorkload::Cnn1, wl::MlWorkload::Rnn1}) {
+        SCOPED_TRACE(wl::mlName(ml));
+        exp::RunConfig cfg;
+        cfg.ml = ml;
+        cfg.cpu = wl::CpuWorkload::Stitch;
+        cfg.cpuInstances = 3;
+        cfg.config = exp::ConfigKind::KP;
+        cfg.eventDriven = false;
+        exp::Scenario s = exp::buildScenario(cfg);
+        s.engine->run(0.05);
 
-    EXPECT_EQ(allocationsOver(*s.node, cfg.tick, 2000), 0);
+        EXPECT_EQ(allocationsOver(*s.node, cfg.tick, 2000), 0);
 
-    // Switching SNC on fills the per-subdomain scratch once.
-    s.node->setSncEnabled(true);
-    allocationsOver(*s.node, cfg.tick, 1);
-    EXPECT_EQ(allocationsOver(*s.node, cfg.tick, 2000), 0);
+        // A knob write dirties the shape; the tick that rebuilds it
+        // reuses the scratch and allocates nothing either.
+        const uint64_t builds = s.node->shapeBuilds();
+        const int ways = s.node->groups().get(s.cpuGroup).catWays();
+        s.node->knobs().setCatWays(s.cpuGroup, ways + 1);
+        EXPECT_EQ(allocationsOver(*s.node, cfg.tick, 1), 0);
+        EXPECT_EQ(s.node->shapeBuilds(), builds + 1);
+
+        // Switching SNC on fills the per-subdomain scratch once.
+        s.node->setSncEnabled(true);
+        allocationsOver(*s.node, cfg.tick, 1);
+        EXPECT_EQ(allocationsOver(*s.node, cfg.tick, 2000), 0);
+    }
 }

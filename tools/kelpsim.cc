@@ -291,8 +291,7 @@ main(int argc, char **argv)
             man.set("mc_cache_hits", r.mcCacheHits);
             man.set("mc_cache_misses", r.mcCacheMisses);
             man.set("mem_fast_ticks", r.memFastTicks);
-            man.set("llc_memo_hits", r.llcMemoHits);
-            man.set("llc_memo_misses", r.llcMemoMisses);
+            man.set("shape_builds", r.shapeBuilds);
             if (s.inferTask) {
                 man.addHistogram("ml_request_latency_s",
                                  s.inferTask->latency());
@@ -411,14 +410,13 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(r.periodicFires),
                 static_cast<unsigned long long>(r.fastTaskTicks));
     std::printf("  resolve cache  : mem %llu hit / %llu miss, "
-                "mc %llu hit / %llu miss, llc %llu hit / %llu miss, "
+                "mc %llu hit / %llu miss, shape builds %llu, "
                 "%llu mem fast ticks\n",
                 static_cast<unsigned long long>(r.resolveCacheHits),
                 static_cast<unsigned long long>(r.resolveCacheMisses),
                 static_cast<unsigned long long>(r.mcCacheHits),
                 static_cast<unsigned long long>(r.mcCacheMisses),
-                static_cast<unsigned long long>(r.llcMemoHits),
-                static_cast<unsigned long long>(r.llcMemoMisses),
+                static_cast<unsigned long long>(r.shapeBuilds),
                 static_cast<unsigned long long>(r.memFastTicks));
     if (opts.getBool("perf")) {
         // kelp: allow(determinism): --perf opts into wall clocks
